@@ -11,14 +11,13 @@ from dataclasses import replace
 import numpy as np
 
 from .amp import DecoderParams, decode
-from .codec import DesignMatrix, index_codeword, transmit
+from .codec import DesignMatrix
 from .denoiser import Schedule
 from .harness import (
     ConfigError, load_config, sweep, se_predict, se_vs_truth, rate_sweep,
-    build_experiment, _matrix_for,
+    build_experiment, channel_input, _matrix_for,
     write_se_csv, write_se_vs_truth_csv, write_rate_csv,
 )
-from .ldpc import bits_to_symbols
 from .state_evolution import best_candidate
 
 
@@ -134,10 +133,9 @@ def _cmd_encode(args):
     bits = _read_bits(args.bits)
     if bits.size != cfg.B:
         raise ConfigError(f"expected {cfg.B} bits, got {bits.size}")
-    field, code, encoder = build_experiment(cfg)
-    v = encoder.encode(bits_to_symbols(bits, field.m))
+    field, _, encoder = build_experiment(cfg)
     A = DesignMatrix(cfg.n, field.q * cfg.L, _matrix_for(cfg, 0))
-    x = transmit(index_codeword(v, field.q), A)
+    _, x = channel_input(encoder, bits, A)
     np.savetxt(args.out, x, fmt="%.17g")
     print(f"wrote {args.out} ({x.size} channel uses)")
 
@@ -147,6 +145,8 @@ def _cmd_decode(args):
     y = np.loadtxt(args.obs, dtype=np.float64)
     if y.shape != (cfg.n,):
         raise ConfigError(f"expected {cfg.n} observations, got {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ConfigError(f"{args.obs}: observations must be finite")
     field, code, encoder = build_experiment(cfg)
     A = DesignMatrix(cfg.n, field.q * cfg.L, _matrix_for(cfg, 0))
     # the noise level is unknown here; tau^2 is estimated from the
@@ -174,7 +174,12 @@ _COMMANDS = {
 
 
 def main(argv=None):
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error; a usage
+        # error is a configuration error here, and 2 means a runtime failure
+        return 0 if exc.code == 0 else 1
     try:
         _COMMANDS[args.command](args)
     except (ConfigError, FileNotFoundError, ValueError) as exc:

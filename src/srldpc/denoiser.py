@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .gf import fq_convolve_fast, vec_times_g
+from .gf import fwht
 
 MSG_FLOOR = 1e-30
 
@@ -30,9 +30,7 @@ def hadamard_matrix(q):
     For q <= 256 a single matrix product against H is faster than the
     butterfly, and H @ H = q I gives the inverse transform.
     """
-    idx = np.arange(q, dtype=np.uint32)
-    parity = np.bitwise_count(idx[:, None] & idx[None, :]) & 1
-    return 1.0 - 2.0 * parity.astype(np.float64)
+    return fwht(np.eye(q))
 
 
 class Schedule:
@@ -87,43 +85,8 @@ def local_posterior(r_section, tau2):
         raise ValueError("tau2 must be positive")
     r = np.atleast_2d(np.asarray(r_section, dtype=np.float64))
     z = (r - r.max(axis=-1, keepdims=True)) / tau2
-    a = np.exp(z)
-    a /= a.sum(axis=-1, keepdims=True)
-    out = np.maximum(a, MSG_FLOOR)
-    out /= out.sum(axis=-1, keepdims=True)
+    out, _ = _normalize_rows(np.exp(z))
     return out if np.ndim(r_section) > 1 else out[0]
-
-
-def check_update(incoming, out_label, field):
-    """Message from a check node along one edge (single-message form).
-
-    incoming is a list of (belief vector, edge label) pairs for the other
-    edges of the check; labels are absorbed by times-g permutations, the
-    vectors convolved over F_q, and the outgoing label reapplied (over
-    GF(2^m) the negated label equals the label itself).
-    """
-    if not incoming:
-        raise ValueError("check update needs at least one incoming message")
-    if out_label == 0 or any(lbl == 0 for _, lbl in incoming):
-        raise ValueError("edge labels must be nonzero")
-    absorbed = [
-        vec_times_g(np.asarray(b, dtype=np.float64), field.inv(lbl), field)
-        for b, lbl in incoming
-    ]
-    conv = fq_convolve_fast(absorbed)
-    out = vec_times_g(conv, out_label, field)
-    return _normalize_rows(np.maximum(out, 0.0))
-
-
-def variable_update(alpha, incoming, exclude=None):
-    """Message from a variable node: Hadamard product of alpha and all
-    incoming check messages except the excluded one, normalized."""
-    out = np.asarray(alpha, dtype=np.float64).copy()
-    for i, msg in enumerate(incoming):
-        if exclude is not None and i == exclude:
-            continue
-        out *= msg
-    return _normalize_rows(out)
 
 
 def divergence_terms(s_hat):
@@ -133,20 +96,23 @@ def divergence_terms(s_hat):
 
 
 def _normalize_rows(mat):
-    """Normalize to probability rows; all-zero rows fall back to uniform."""
-    was_1d = np.ndim(mat) == 1
-    mat = np.atleast_2d(np.asarray(mat, dtype=np.float64))
-    q = mat.shape[-1]
+    """Normalize the rows of a 2-D array to probability vectors.
+
+    Rows whose total is zero or not finite fall back to uniform; every
+    entry is then floored at MSG_FLOOR and the rows renormalized.
+    Returns (normalized copy, number of rows that fell back).
+    """
     totals = mat.sum(axis=-1, keepdims=True)
-    bad = ~np.isfinite(totals[..., 0]) | (totals[..., 0] <= 0.0)
-    if np.any(bad):
+    bad = ~np.isfinite(totals[:, 0]) | (totals[:, 0] <= 0.0)
+    n_bad = int(bad.sum())
+    if n_bad:
         mat = mat.copy()
-        mat[bad] = 1.0 / q
+        mat[bad] = 1.0 / mat.shape[-1]
         totals = mat.sum(axis=-1, keepdims=True)
     mat = mat / totals
     mat = np.maximum(mat, MSG_FLOOR)
     mat /= mat.sum(axis=-1, keepdims=True)
-    return mat[0] if was_1d else mat
+    return mat, n_bad
 
 
 class BpDenoiser:
@@ -270,11 +236,9 @@ class BpDenoiser:
         return self._renorm(prod)
 
     def _renorm(self, mat):
-        totals = mat.sum(axis=-1)
-        bad = ~np.isfinite(totals) | (totals <= 0.0)
-        if np.any(bad):
-            self.underflow_events += int(bad.sum())
-        return _normalize_rows(mat)
+        out, n_bad = _normalize_rows(mat)
+        self.underflow_events += n_bad
+        return out
 
     def metadata(self):
         return {

@@ -1,4 +1,5 @@
-"""GF(2^m) arithmetic and the vector operators used by non-binary BP.
+"""GF(2^m) arithmetic, the direct F_q-convolution and the Walsh-Hadamard
+transform.
 
 Belief vectors over F_q are plain numpy arrays of length q = 2^m, indexed
 by the integer representation of field elements: 0 is the additive
@@ -41,8 +42,8 @@ class GF2m:
 
     Multiplication goes through exp/log tables built once at construction
     from a generator of the multiplicative group; the full q x q product
-    table is also materialized so that vector operators reduce to numpy
-    gathers.
+    table is also materialized so that permuting a belief vector by an
+    edge label reduces to a numpy gather.
     """
 
     def __init__(self, m, poly=None):
@@ -110,24 +111,6 @@ class GF2m:
         return f"GF2m(m={self.m}, poly=0x{self.poly:X})"
 
 
-def vec_plus_g(b, g, field):
-    """Permute b by field addition: output entry h is b[h (+) g]."""
-    q = field.q
-    idx = np.arange(q) ^ g
-    return np.asarray(b)[..., idx]
-
-
-def vec_times_g(b, g, field):
-    """Permute b by field multiplication: output entry h is b[h (x) g].
-
-    g must be nonzero, otherwise the map collapses every entry to b[0].
-    """
-    if g == 0:
-        raise ValueError("times-g operator requires g != 0")
-    idx = field.mul_table[:, g]
-    return np.asarray(b)[..., idx]
-
-
 def fq_convolve(a, b, field):
     """Direct O(q^2) F_q-convolution: out[g] = sum_h a[h] * b[g - h]."""
     a = np.asarray(a, dtype=np.float64)
@@ -156,15 +139,3 @@ def fwht(v, inverse=False):
         a /= q
     return a
 
-
-def fq_convolve_fast(vs):
-    """Convolve a batch of vectors over F_q through the transform domain.
-
-    vs is a nonempty list (or 2-D array) of equal-length belief vectors;
-    returns fwht^{-1} of the pointwise product of the transforms.
-    """
-    vs = np.atleast_2d(np.asarray(vs, dtype=np.float64))
-    if vs.shape[0] == 0:
-        raise ValueError("need at least one input vector")
-    spectra = fwht(vs)
-    return fwht(spectra.prod(axis=0), inverse=True)

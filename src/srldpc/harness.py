@@ -177,19 +177,30 @@ def _matrix_for(cfg, snr_index, trial=None):
     return int(seq.generate_state(1)[0])
 
 
-def run_trial(cfg, code, encoder, A, sigma2, params, snr_index, trial):
-    """One end-to-end trial; returns per-trial tallies."""
-    field = code.field
+def channel_input(encoder, bits, A):
+    """Codeword v and noiseless channel input x = A s(v) for a payload."""
+    field = encoder.field
+    v = encoder.encode(bits_to_symbols(bits, field.m))
+    return v, transmit(index_codeword(v, field.q), A)
+
+
+def trial_observation(cfg, encoder, A, sigma2, snr_index, trial):
+    """Seeded payload bits, codeword v and channel output y of one trial."""
     bits = rng_stream(cfg.seed, STREAM_BITS, snr_index, trial).integers(
         0, 2, size=cfg.B
     )
-    v = encoder.encode(bits_to_symbols(bits, field.m))
-    if A is None:
-        A = DesignMatrix(cfg.n, field.q * cfg.L,
-                         _matrix_for(cfg, snr_index, trial))
-    x = transmit(index_codeword(v, field.q), A)
+    v, x = channel_input(encoder, bits, A)
     y = awgn(x, sigma2, rng=rng_stream(cfg.seed, STREAM_NOISE,
                                        snr_index, trial))
+    return bits, v, y
+
+
+def run_trial(cfg, code, encoder, A, sigma2, params, snr_index, trial):
+    """One end-to-end trial; returns per-trial tallies."""
+    if A is None:
+        A = DesignMatrix(cfg.n, code.field.q * cfg.L,
+                         _matrix_for(cfg, snr_index, trial))
+    bits, v, y = trial_observation(cfg, encoder, A, sigma2, snr_index, trial)
     res = decode(y, A, code, encoder, params)
     bit_errors = int(np.sum(res.bits != bits))
     aborted = res.termination_reason == "non_finite"
@@ -378,11 +389,7 @@ def se_vs_truth(cfg, ebno_db, trials, threads=1, psi=None):
     A = DesignMatrix(cfg.n, field.q * cfg.L, _matrix_for(cfg, 0))
 
     def work(trial):
-        bits = rng_stream(cfg.seed, STREAM_BITS, 0, trial).integers(
-            0, 2, size=cfg.B)
-        v = encoder.encode(bits_to_symbols(bits, field.m))
-        x = transmit(index_codeword(v, field.q), A)
-        y = awgn(x, sigma2, rng=rng_stream(cfg.seed, STREAM_NOISE, 0, trial))
+        _, _, y = trial_observation(cfg, encoder, A, sigma2, 0, trial)
         return decode(y, A, code, encoder, params).tau2_trace
 
     if threads > 1:

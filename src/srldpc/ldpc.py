@@ -270,33 +270,9 @@ class Encoder:
             raise ValueError(f"expected {self.k} message symbols")
         v = np.zeros(self.code.L, dtype=np.int64)
         v[self.message_positions] = msg
-        if self.code.P:
-            contrib = self.field.mul_table[self.parity_rows, msg[None, :]]
-            v[self.parity_positions] = np.bitwise_xor.reduce(contrib, axis=1)
+        contrib = self.field.mul_table[self.parity_rows, msg[None, :]]
+        v[self.parity_positions] = np.bitwise_xor.reduce(contrib, axis=1)
         return v
-
-
-class _TrivialEncoder:
-    """Encoder for a code with no parity constraints (P = 0)."""
-
-    def __init__(self, code):
-        self.code = code
-        self.field = code.field
-        self.k = code.L
-        self.message_positions = np.arange(code.L)
-        self.parity_positions = np.arange(0)
-
-    def encode(self, msg_symbols):
-        msg = np.asarray(msg_symbols, dtype=np.int64)
-        if msg.shape != (self.k,):
-            raise ValueError(f"expected {self.k} message symbols")
-        return msg.copy()
-
-
-def build_encoder(code):
-    if code.P == 0:
-        return _TrivialEncoder(code)
-    return Encoder(code)
 
 
 def build_code(field, L, P, dv, seed, max_attempts=16):
@@ -311,14 +287,14 @@ def build_code(field, L, P, dv, seed, max_attempts=16):
             field, L, 0,
             np.arange(0), np.arange(0), np.arange(0), girth=math.inf,
         )
-        return code, build_encoder(code)
+        return code, Encoder(code)
 
     graph = peg_construct(field, L, P, dv)
     last = None
     for attempt in range(max_attempts):
         code = assign_edge_labels(graph, seed + attempt)
         try:
-            return code, build_encoder(code)
+            return code, Encoder(code)
         except RankDeficientError as exc:
             last = exc
     raise RankDeficientError(last.rank, last.rows)

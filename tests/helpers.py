@@ -1,8 +1,10 @@
-"""Shared independent oracles for the test suite.
+"""Shared independent oracles for the test suite, and one runner.
 
-Everything here is deliberately implemented by direct enumeration or
-finite differences, independent of the transform-domain code paths it
-is used to verify.
+The oracles are deliberately implemented by direct enumeration or
+finite differences, independent of the transform-domain code paths they
+are used to verify.  check_round_message is not an oracle: it runs the
+shipped BpDenoiser check round on a single check so that the oracles
+can be compared with it message by message.
 """
 
 import itertools
@@ -10,7 +12,29 @@ import itertools
 import numpy as np
 
 from srldpc.denoiser import BpDenoiser, Schedule
-from srldpc.ldpc import syndrome_check
+from srldpc.ldpc import LdpcCode, syndrome_check
+
+
+def check_round_message(incoming, out_label, field):
+    """Message BpDenoiser.bp_round sends from one check along one edge.
+
+    incoming is a list of (belief vector, edge label) pairs for the other
+    edges of the check.  The check is joined to len(incoming) + 1
+    degree-1 variables, the output edge last; with degree 1 the variable
+    half of the round passes each local posterior through normalized, so
+    the check half sees exactly the incoming vectors.
+    """
+    d = len(incoming) + 1
+    labels = [lbl for _, lbl in incoming] + [out_label]
+    code = LdpcCode(field, d, 1, np.arange(d), np.zeros(d, dtype=np.int64),
+                    labels)
+    den = BpDenoiser(code, Schedule("bp0"))
+    den.alpha = np.stack(
+        [np.asarray(b, dtype=np.float64) for b, _ in incoming]
+        + [np.full(field.q, 1.0 / field.q)]
+    )
+    den.bp_round()
+    return den.c2v[code.var_edges[d - 1][0]]
 
 
 def check_update_bruteforce(incoming, out_label, field):

@@ -13,15 +13,15 @@ import pytest
 from scipy.stats import binomtest
 
 from helpers import (
-    check_update_bruteforce, exhaustive_posteriors, fd_divergence,
-    gaussian_probability_vectors,
+    check_round_message, check_update_bruteforce, exhaustive_posteriors,
+    fd_divergence, gaussian_probability_vectors,
 )
 from srldpc.amp import DecoderParams, decode, tau2_floor_for
 from srldpc.codec import (
     DesignMatrix, awgn, index_codeword, rng_stream, snr_to_sigma2, transmit,
     STREAM_BITS, STREAM_NOISE,
 )
-from srldpc.denoiser import BpDenoiser, Schedule, check_update, divergence_terms
+from srldpc.denoiser import BpDenoiser, Schedule, divergence_terms
 from srldpc.gf import GF2m, fq_convolve
 from srldpc.harness import SimConfig, _matrix_for, run_trial, se_vs_truth
 from srldpc.ldpc import LdpcCode, bits_to_symbols, build_code, syndrome_check
@@ -79,7 +79,7 @@ def test_c1_fwht_vs_bruteforce():
                 for _ in range(deg_in)
             ]
             out_label = int(rng.integers(1, q))
-            fast = check_update(incoming, out_label, field)
+            fast = check_round_message(incoming, out_label, field)
             slow = check_update_bruteforce(incoming, out_label, field)
             worst = max(worst, float(np.abs(fast - slow).max()))
     elapsed = time.perf_counter() - t0

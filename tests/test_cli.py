@@ -47,6 +47,12 @@ def test_missing_config_exit_1(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("argv", [[], ["simulate"]])
+def test_usage_error_exit_1(argv, capsys):
+    assert main(argv) == 1
+    assert "usage:" in capsys.readouterr().err
+
+
 def test_se_command(tmp_path, cfg_path):
     out = tmp_path / "se.csv"
     rc = main(["se", "--config", cfg_path, "--ebno", "8.0",
@@ -97,6 +103,16 @@ def test_encode_decode_round_trip(tmp_path, cfg_path):
     assert rc == 0
     decoded = np.loadtxt(out_path, dtype=np.int64)
     assert np.array_equal(decoded, bits)
+
+
+def test_decode_non_finite_obs_exit_1(tmp_path, cfg_path):
+    obs_path = tmp_path / "y.txt"
+    obs_path.write_text("nan\n" * SMALL["n"])
+    out_path = tmp_path / "bits_out.txt"
+    rc = main(["decode", "--config", cfg_path, "--obs", str(obs_path),
+               "--out", str(out_path)])
+    assert rc == 1
+    assert not out_path.exists()
 
 
 def test_encode_wrong_bit_count_exit_1(tmp_path, cfg_path):

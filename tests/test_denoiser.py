@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import check_update_bruteforce, exhaustive_posteriors
+from helpers import (
+    check_round_message, check_update_bruteforce, exhaustive_posteriors,
+)
 from srldpc.denoiser import (
-    BpDenoiser, Schedule, check_update, divergence_terms, local_posterior,
-    variable_update,
+    BpDenoiser, Schedule, divergence_terms, hadamard_matrix, local_posterior,
 )
 from srldpc.gf import GF2m, fq_convolve
 from srldpc.ldpc import LdpcCode, build_code
@@ -38,22 +39,36 @@ def test_local_posterior_rejects_bad_tau2():
 
 
 # ---------------------------------------------------------------------------
-# Check update
+# Hadamard matrix
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_hadamard_matrix_entries_and_inverse(m):
+    q = 1 << m
+    H = hadamard_matrix(q)
+    ref = np.array([[(-1) ** bin(i & j).count("1") for j in range(q)]
+                    for i in range(q)])
+    assert np.array_equal(H, ref)
+    assert np.array_equal(H @ H, q * np.eye(q))
+
+
+# ---------------------------------------------------------------------------
+# Check update (one check of the shipped BP round)
 # ---------------------------------------------------------------------------
 
 def test_check_update_single_delta_passthrough():
     field = GF2m(3)
     e5 = np.zeros(8)
     e5[5] = 1.0
-    out = check_update([(e5, 1)], 1, field)
+    out = check_round_message([(e5, 1)], 1, field)
     assert np.argmax(out) == 5
     assert out[5] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_check_update_q2_example():
     field = GF2m(1)
-    out = check_update([(np.array([0.9, 0.1]), 1),
-                        (np.array([0.8, 0.2]), 1)], 1, field)
+    out = check_round_message([(np.array([0.9, 0.1]), 1),
+                               (np.array([0.8, 0.2]), 1)], 1, field)
     assert np.allclose(out, [0.74, 0.26], atol=1e-12)
 
 
@@ -61,7 +76,7 @@ def test_check_update_labels_one_is_convolution():
     field = GF2m(3)
     rng = np.random.default_rng(1)
     a, b = rng.random(8), rng.random(8)
-    out = check_update([(a, 1), (b, 1)], 1, field)
+    out = check_round_message([(a, 1), (b, 1)], 1, field)
     conv = fq_convolve(a, b, field)
     assert np.allclose(out, conv / conv.sum(), atol=1e-12)
 
@@ -75,7 +90,7 @@ def test_check_update_matches_bruteforce_q8_degree5():
             for _ in range(4)
         ]
         out_label = int(rng.integers(1, 8))
-        fast = check_update(incoming, out_label, field)
+        fast = check_round_message(incoming, out_label, field)
         slow = check_update_bruteforce(incoming, out_label, field)
         assert np.abs(fast - slow).max() < 1e-10
 
@@ -83,54 +98,65 @@ def test_check_update_matches_bruteforce_q8_degree5():
 def test_check_update_label_absorption_identity():
     # scaling an input's index by w while multiplying its label by w
     # leaves the outgoing message unchanged
-    from srldpc.gf import vec_times_g
     field = GF2m(4)
     rng = np.random.default_rng(3)
     b1 = rng.random(16) + 1e-3
     b2 = rng.random(16) + 1e-3
     lbl1, lbl2, out_label = 7, 9, 3
-    base = check_update([(b1, lbl1), (b2, lbl2)], out_label, field)
+    base = check_round_message([(b1, lbl1), (b2, lbl2)], out_label, field)
     w = 5
-    twisted = check_update(
-        [(vec_times_g(b1, w, field), field.mul(lbl1, w)), (b2, lbl2)],
+    twisted = check_round_message(
+        [(b1[field.mul_table[:, w]], field.mul(lbl1, w)), (b2, lbl2)],
         out_label, field,
     )
     assert np.allclose(base, twisted, atol=1e-12)
 
 
-def test_check_update_rejects_empty_and_zero_labels():
-    field = GF2m(2)
-    with pytest.raises(ValueError):
-        check_update([], 1, field)
-    with pytest.raises(ValueError):
-        check_update([(np.ones(4), 0)], 1, field)
-
-
 # ---------------------------------------------------------------------------
-# Variable update
+# Variable update (one variable of the shipped BP round)
 # ---------------------------------------------------------------------------
+
+def _variable_star(alpha, incoming):
+    """Denoiser on one variable whose degree-1 checks have sent incoming.
+
+    Its estimate() is the full product of alpha and the incoming
+    messages; after one bp_round, v2c[i] is the product excluding
+    incoming[i].
+    """
+    alpha = np.asarray(alpha, dtype=np.float64)
+    field = GF2m(alpha.size.bit_length() - 1)
+    d = len(incoming)
+    code = LdpcCode(field, 1, d, np.zeros(d, dtype=np.int64), np.arange(d),
+                    np.ones(d, dtype=np.int64))
+    den = BpDenoiser(code, Schedule("bp0"))
+    den.alpha = alpha[None, :]
+    den.c2v[:] = incoming
+    return den
+
 
 def test_variable_update_uniform_incoming_returns_alpha():
     alpha = np.array([0.5, 0.25, 0.125, 0.125])
-    incoming = [np.full(4, 0.25), np.full(4, 0.25)]
-    assert np.allclose(variable_update(alpha, incoming), alpha, atol=1e-12)
+    den = _variable_star(alpha, [np.full(4, 0.25), np.full(4, 0.25)])
+    assert np.allclose(den.estimate()[0], alpha, atol=1e-12)
 
 
 def test_variable_update_q2_example():
-    out = variable_update(np.array([0.6, 0.4]), [np.array([0.9, 0.1])])
-    assert np.allclose(out, [0.54 / 0.58, 0.04 / 0.58], atol=1e-12)
+    den = _variable_star([0.6, 0.4], [np.array([0.9, 0.1])])
+    assert np.allclose(den.estimate()[0], [0.54 / 0.58, 0.04 / 0.58],
+                       atol=1e-12)
 
 
 def test_variable_update_exclude_only_edge():
     alpha = np.array([0.7, 0.1, 0.1, 0.1])
-    out = variable_update(alpha, [np.array([0.9, 0.05, 0.03, 0.02])],
-                          exclude=0)
-    assert np.allclose(out, alpha, atol=1e-12)
+    den = _variable_star(alpha, [np.array([0.9, 0.05, 0.03, 0.02])])
+    den.bp_round()
+    assert np.allclose(den.v2c[0], alpha, atol=1e-12)
 
 
 def test_variable_update_zero_product_falls_back_to_uniform():
-    out = variable_update(np.array([1.0, 0.0]), [np.array([0.0, 1.0])])
-    assert np.allclose(out, [0.5, 0.5], atol=1e-12)
+    den = _variable_star([1.0, 0.0], [np.array([0.0, 1.0])])
+    assert np.allclose(den.estimate()[0], [0.5, 0.5], atol=1e-12)
+    assert den.underflow_events == 1
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +229,9 @@ def test_denoiser_messages_are_probability_vectors(small_code):
 
 
 def test_vectorized_rounds_match_reference_updates(small_code):
-    """The batched transform-domain rounds must agree with the
-    single-message update functions edge by edge."""
+    """The batched transform-domain rounds must agree edge by edge with
+    direct parity enumeration at the checks and plain products at the
+    variables."""
     code = small_code
     field = code.field
     q = field.q
@@ -215,26 +242,25 @@ def test_vectorized_rounds_match_reference_updates(small_code):
     den = BpDenoiser(code, Schedule(None, explicit=[2]))
     den.denoise(r, tau2, t=0)
 
+    def product(alpha_l, msgs):
+        out = alpha_l * np.prod(msgs, axis=0)
+        return out / out.sum()
+
     alpha = local_posterior(r.reshape(code.L, q), tau2)
-    v2c = {e: np.full(q, 1.0 / q) for e in range(code.n_edges)}
-    c2v = {e: np.full(q, 1.0 / q) for e in range(code.n_edges)}
+    v2c = np.full((code.n_edges, q), 1.0 / q)
+    c2v = np.full((code.n_edges, q), 1.0 / q)
     for _ in range(2):
-        new_v2c = {}
         for l in range(code.L):
             edges = code.var_edges[l]
             for e in edges:
-                incoming = [c2v[j] for j in edges if j != e]
-                new_v2c[e] = variable_update(alpha[l], incoming)
-        v2c = new_v2c
-        new_c2v = {}
+                v2c[e] = product(alpha[l], c2v[edges[edges != e]])
         for p in range(code.P):
             edges = code.chk_edges[p]
             for e in edges:
                 incoming = [(v2c[j], int(code.edge_label[j]))
                             for j in edges if j != e]
-                new_c2v[e] = check_update(
+                c2v[e] = check_update_bruteforce(
                     incoming, int(code.edge_label[e]), field)
-        c2v = new_c2v
 
     for e in range(code.n_edges):
         assert np.abs(den.v2c[e] - v2c[e]).max() < 1e-10
@@ -242,7 +268,7 @@ def test_vectorized_rounds_match_reference_updates(small_code):
 
     est = den.estimate()
     for l in range(code.L):
-        ref = variable_update(alpha[l], [c2v[e] for e in code.var_edges[l]])
+        ref = product(alpha[l], c2v[code.var_edges[l]])
         assert np.abs(est[l] - ref).max() < 1e-10
 
 

@@ -1,10 +1,8 @@
 import numpy as np
 import pytest
 
-from srldpc.gf import (
-    GF2m, _mul_bitwise, vec_plus_g, vec_times_g,
-    fq_convolve, fq_convolve_fast, fwht,
-)
+from helpers import check_round_message
+from srldpc.gf import GF2m, _mul_bitwise, fq_convolve, fwht
 
 
 def table_oracle(field):
@@ -85,66 +83,17 @@ def test_bad_polynomial_rejected():
 
 
 # ---------------------------------------------------------------------------
-# Vector operators
+# Label permutations
 # ---------------------------------------------------------------------------
-
-def test_plus_g_zero_is_identity():
-    field = GF2m(3)
-    b = np.random.default_rng(0).random(field.q)
-    assert np.array_equal(vec_plus_g(b, 0, field), b)
-
-
-def test_plus_g_gf4_example():
-    field = GF2m(2)
-    b = np.array([10.0, 11.0, 12.0, 13.0])
-    assert np.array_equal(vec_plus_g(b, 1, field), b[[1, 0, 3, 2]])
-
-
-def test_plus_g_reversible():
-    field = GF2m(4)
-    rng = np.random.default_rng(1)
-    for g in range(field.q):
-        b = rng.random(field.q)
-        # over GF(2^m) subtraction equals addition, so +g is an involution
-        assert np.array_equal(vec_plus_g(vec_plus_g(b, g, field), g, field), b)
-
-
-def test_times_g_one_is_identity():
-    field = GF2m(3)
-    b = np.random.default_rng(2).random(field.q)
-    assert np.array_equal(vec_times_g(b, 1, field), b)
-
-
-def test_times_g_gf4_example():
-    field = GF2m(2)
-    b = np.array([10.0, 11.0, 12.0, 13.0])
-    assert np.array_equal(vec_times_g(b, 2, field), b[[0, 2, 3, 1]])
-
-
-def test_times_g_reversible():
-    field = GF2m(4)
-    rng = np.random.default_rng(3)
-    for g in range(1, field.q):
-        b = rng.random(field.q)
-        out = vec_times_g(vec_times_g(b, g, field), field.inv(g), field)
-        assert np.array_equal(out, b)
-
-
-def test_times_g_zero_rejected():
-    with pytest.raises(ValueError):
-        vec_times_g(np.ones(4), 0, GF2m(2))
-
 
 @pytest.mark.parametrize("m", [2, 4])
 def test_operators_are_permutations(m):
+    # BpDenoiser absorbs and reapplies edge labels by gathering messages
+    # along these columns, which must therefore permute the indices
     field = GF2m(m)
-    rng = np.random.default_rng(4)
-    b = rng.random(field.q)
-    for g in range(field.q):
-        assert np.array_equal(np.sort(vec_plus_g(b, g, field)), np.sort(b))
-        if g:
-            assert np.array_equal(np.sort(vec_times_g(b, g, field)),
-                                  np.sort(b))
+    for g in range(1, field.q):
+        assert np.array_equal(np.sort(field.mul_table[:, g]),
+                              np.arange(field.q))
 
 
 # ---------------------------------------------------------------------------
@@ -194,6 +143,10 @@ def test_fwht_rejects_bad_length():
         fwht(np.ones(6))
 
 
+# The transform-domain convolution ships inside the BP check round; with
+# every edge label 1 the check message is the normalized convolution of
+# the incoming vectors.
+
 @pytest.mark.parametrize("q", [2, 4, 8, 16])
 def test_fast_convolution_matches_direct(q):
     m = q.bit_length() - 1
@@ -204,12 +157,14 @@ def test_fast_convolution_matches_direct(q):
         direct = vs[0]
         for v in vs[1:]:
             direct = fq_convolve(direct, v, field)
-        assert np.abs(fq_convolve_fast(vs) - direct).max() < 1e-10
+        fast = check_round_message([(v, 1) for v in vs], 1, field)
+        assert np.abs(fast - direct / direct.sum()).max() < 1e-10
 
 
 def test_fast_convolution_single_input():
     v = np.random.default_rng(9).random(8)
-    assert np.allclose(fq_convolve_fast([v]), v, atol=1e-12)
+    out = check_round_message([(v, 1)], 1, GF2m(3))
+    assert np.allclose(out, v / v.sum(), atol=1e-12)
 
 
 def test_fast_convolution_deltas_xor():
@@ -219,15 +174,10 @@ def test_fast_convolution_deltas_xor():
     vs = np.zeros((3, q))
     for i, g in enumerate(supports):
         vs[i, g] = 1.0
-    out = fq_convolve_fast(vs)
+    out = check_round_message([(v, 1) for v in vs], 1, field)
     expected = np.zeros(q)
     expected[3 ^ 5 ^ 6] = 1.0
     assert np.allclose(out, expected, atol=1e-12)
-
-
-def test_fast_convolution_empty_rejected():
-    with pytest.raises(ValueError):
-        fq_convolve_fast(np.zeros((0, 8)))
 
 
 def test_fast_convolution_five_random_probability_vectors():
@@ -238,7 +188,8 @@ def test_fast_convolution_five_random_probability_vectors():
     direct = vs[0]
     for v in vs[1:]:
         direct = fq_convolve(direct, v, field)
-    assert np.abs(fq_convolve_fast(vs) - direct).max() < 1e-10
+    out = check_round_message([(v, 1) for v in vs], 1, field)
+    assert np.abs(out - direct).max() < 1e-10
 
 
 def test_convolution_preserves_dominance():

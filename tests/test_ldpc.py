@@ -6,8 +6,8 @@ from scipy.stats import chisquare
 
 from srldpc.gf import GF2m
 from srldpc.ldpc import (
-    LdpcCode, RankDeficientError, assign_edge_labels, bits_to_symbols,
-    build_code, build_encoder, compute_girth, load_code, peg_construct,
+    Encoder, LdpcCode, RankDeficientError, assign_edge_labels,
+    bits_to_symbols, build_code, compute_girth, load_code, peg_construct,
     save_code, symbols_to_bits, syndrome_check,
 )
 
@@ -73,6 +73,11 @@ def test_girth_on_known_graphs():
 def test_parallel_edges_rejected():
     with pytest.raises(ValueError):
         LdpcCode(GF2m(2), 2, 1, [0, 0], [0, 0], [1, 1])
+
+
+def test_zero_label_rejected():
+    with pytest.raises(ValueError):
+        LdpcCode(GF2m(2), 2, 1, [0, 1], [0, 0], [1, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +180,7 @@ def test_rank_deficient_reported():
     # identical check rows: rank 1 < 2
     code = LdpcCode(field, 4, 2, [0, 1, 0, 1], [0, 0, 1, 1], [1, 2, 1, 2])
     with pytest.raises(RankDeficientError) as err:
-        build_encoder(code)
+        Encoder(code)
     assert err.value.rank == 1
     assert err.value.rows == 2
 
