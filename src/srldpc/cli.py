@@ -112,7 +112,10 @@ def _cmd_se_vs_truth(args):
 
 def _cmd_tune_rate(args):
     cfg = _load(args)
-    rates = [float(x) for x in args.rates.split(",") if x.strip()]
+    try:
+        rates = [float(x) for x in args.rates.split(",") if x.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"--rates: {exc}") from exc
     if not rates:
         raise ConfigError("no rates given")
     rows = rate_sweep(cfg, rates)
@@ -142,7 +145,10 @@ def _cmd_encode(args):
 
 def _cmd_decode(args):
     cfg = _load(args)
-    y = np.loadtxt(args.obs, dtype=np.float64)
+    try:
+        y = np.loadtxt(args.obs, dtype=np.float64)
+    except ValueError as exc:
+        raise ConfigError(f"{args.obs}: {exc}") from exc
     if y.shape != (cfg.n,):
         raise ConfigError(f"expected {cfg.n} observations, got {y.shape}")
     if not np.all(np.isfinite(y)):
@@ -182,7 +188,7 @@ def main(argv=None):
         return 0 if exc.code == 0 else 1
     try:
         _COMMANDS[args.command](args)
-    except (ConfigError, FileNotFoundError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

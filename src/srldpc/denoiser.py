@@ -13,6 +13,14 @@ Message arrays are laid out per edge, sorted by (check, slot), matching
 the edge order of the code object.  All stored messages are probability
 vectors; entries are floored at 1e-30 after normalization so hard zeros
 cannot annihilate later Hadamard products.
+
+Each round gathers messages slot-major: the padded adjacency is stored
+as (slots, nodes), so a gather yields a contiguous (slots, nodes, q)
+stack and the exclusive product runs over whole (nodes, q) slices, one
+slot at a time.  Padded slots point at a neutral all-ones row.  Label
+permutations are flat integer gathers: one map absorbs the labels into
+v2c, and one map sends the check outputs back to edge order and
+reapplies the labels.
 """
 
 import math
@@ -110,7 +118,7 @@ def _normalize_rows(mat):
         mat[bad] = 1.0 / mat.shape[-1]
         totals = mat.sum(axis=-1, keepdims=True)
     mat = mat / totals
-    mat = np.maximum(mat, MSG_FLOOR)
+    np.maximum(mat, MSG_FLOOR, out=mat)
     mat /= mat.sum(axis=-1, keepdims=True)
     return mat, n_bad
 
@@ -131,21 +139,26 @@ class BpDenoiser:
 
         q = self.field.q
         E = code.n_edges
-        mul = self.field.mul_table
         self._H = hadamard_matrix(q)
-        if E:
-            labels = code.edge_label
-            self._perm_in = mul[:, self.field.inv(labels)].T.copy()
-            self._perm_out = mul[:, labels].T.copy()
 
-        # Padded gather maps; the dummy edge id E points at a neutral row
-        # (uniform message, all-ones spectrum).
-        self._chk_pad, self._chk_mask = _pad_adjacency(code.chk_edges, E)
-        self._var_pad, self._var_mask = _pad_adjacency(code.var_edges, E)
-        order = self._chk_pad[self._chk_mask]
-        self._chk_unorder = np.empty(E, dtype=np.int64)
-        self._chk_unorder[order] = np.arange(E)
-        self._var_scatter = self._var_pad[self._var_mask]
+        # Slot-major padded gather maps (slots, nodes); the dummy edge id
+        # E points at a neutral row (uniform message, all-ones spectrum).
+        # A gather through them yields a (slots, nodes, q) stack whose
+        # flat row of each edge is recorded once here.
+        self._var_pad, rows, ids = _slot_major(code.var_edges, E)
+        self._var_sel = np.empty(E, dtype=np.intp)
+        self._var_sel[ids] = rows
+        # check rows stay in (check, slot) order for the inverse transform
+        self._chk_pad, self._chk_sel, ids = _slot_major(code.chk_edges, E)
+        unorder = np.empty(E, dtype=np.intp)
+        unorder[ids] = np.arange(E)
+        mul = self.field.mul_table
+        labels = code.edge_label
+        # absorbed[e, g] = v2c[e, g * inv(label_e)], as a flat index
+        self._absorb = (np.arange(E)[:, None] * q
+                        + mul[:, self.field.inv(labels)].T)
+        # c2v[e, g] = conv[unorder[e], g * label_e], as a flat index
+        self._relabel = unorder[:, None] * q + mul[:, labels].T
 
         # c2v rows live inside a padded buffer whose last row is the
         # neutral all-ones row, so gathers need no stacking per round.
@@ -197,26 +210,23 @@ class BpDenoiser:
     def _variable_round(self):
         if self.code.n_edges == 0:
             return
-        gathered = self._c2v_pad[self._var_pad]
-        excl = _excl_prod(gathered)
-        msgs = excl * self.alpha[:, None, :]
-        self.v2c[self._var_scatter] = self._renorm(msgs[self._var_mask])
+        excl = _excl_prod(self._c2v_pad[self._var_pad])
+        excl *= self.alpha
+        msgs = excl.reshape(-1, self.field.q)[self._var_sel]
+        self.v2c = self._renorm(msgs)
 
     def _check_round(self):
         E = self.code.n_edges
         if E == 0:
             return
         q = self.field.q
-        absorbed = np.take_along_axis(self.v2c, self._perm_in, axis=1)
-        np.matmul(absorbed, self._H, out=self._spectra_pad[:E])
-        gathered = self._spectra_pad[self._chk_pad]
-        excl = _excl_prod(gathered)
-        conv = excl[self._chk_mask] @ self._H
+        np.matmul(self.v2c.take(self._absorb), self._H,
+                  out=self._spectra_pad[:E])
+        excl = _excl_prod(self._spectra_pad[self._chk_pad])
+        conv = excl.reshape(-1, q)[self._chk_sel] @ self._H
         conv *= 1.0 / q
         np.maximum(conv, 0.0, out=conv)
-        out = conv[self._chk_unorder]
-        out = np.take_along_axis(out, self._perm_out, axis=1)
-        self._c2v_pad[:E] = self._renorm(out)
+        self._c2v_pad[:E] = self._renorm(conv.take(self._relabel))
 
     def estimate(self):
         """Per-section posterior (L, q) including the local observation.
@@ -229,8 +239,7 @@ class BpDenoiser:
         if self.code.n_edges == 0:
             prod = np.ones_like(self.alpha)
         else:
-            gathered = self._c2v_pad[self._var_pad]
-            prod = gathered.prod(axis=1)
+            prod = self._c2v_pad[self._var_pad].prod(axis=0)
         if not self.extrinsic:
             prod = prod * self.alpha
         return self._renorm(prod)
@@ -260,11 +269,35 @@ def _pad_adjacency(edge_lists, dummy):
     return pad, mask
 
 
+def _slot_major(edge_lists, dummy):
+    """Padded (slots, nodes) edge-id matrix for slot-major gathers.
+
+    Also returns, for each real entry in (node, slot) order, its flat row
+    s * nodes + i in a gathered (slots * nodes, q) stack and its edge id.
+    """
+    pad, mask = _pad_adjacency(edge_lists, dummy)
+    node, slot = np.nonzero(mask)
+    rows = slot * len(edge_lists) + node
+    return np.ascontiguousarray(pad.T), rows, pad[mask]
+
+
 def _excl_prod(a):
-    """Per-slot products along axis 1 excluding the slot itself."""
-    pre = np.ones_like(a)
-    suf = np.ones_like(a)
-    if a.shape[1] > 1:
-        np.cumprod(a[:, :-1], axis=1, out=pre[:, 1:])
-        suf[:, :-1] = np.cumprod(a[:, :0:-1], axis=1)[:, ::-1]
-    return pre * suf
+    """Per-slot products along axis 0 excluding the slot itself.
+
+    Prefix products run left to right and suffix products right to left,
+    the association np.cumprod uses.  A loop over contiguous (nodes, q)
+    slices beats a cumprod that strides across slots; state evolution's
+    scalar (checks, slots) products keep the cumprod, which is contiguous
+    there.
+    """
+    out = np.empty_like(a)
+    out[0] = 1.0
+    for k in range(1, len(a)):
+        np.multiply(out[k - 1], a[k - 1], out=out[k])
+    if len(a) > 1:
+        suf = a[-1].copy()
+        out[-2] *= suf
+        for k in range(len(a) - 3, -1, -1):
+            suf *= a[k + 1]
+            out[k] *= suf
+    return out

@@ -65,6 +65,8 @@ class SimConfig:
                      "target_errors"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive")
+        if self.m > 8:
+            raise ConfigError("m must be at most 8")
         if self.P < 0:
             raise ConfigError("P must be nonnegative")
         if self.final_bp_iters < 0:
@@ -164,13 +166,21 @@ class PointResult:
 def build_experiment(cfg):
     """Code, encoder, and (for the fixed policy) per-SNR design matrices."""
     field = cfg.field()
-    code, encoder = build_code(field, cfg.L, cfg.P, cfg.dv, cfg.label_seed())
+    try:
+        code, encoder = build_code(field, cfg.L, cfg.P, cfg.dv,
+                                   cfg.label_seed())
+    except ValueError as exc:
+        raise ConfigError(f"cannot build the outer code: {exc}") from exc
     return field, code, encoder
 
 
 def _matrix_for(cfg, snr_index, trial=None):
+    """Seed of the design matrix at one SNR point (and trial, per_trial)."""
     if cfg.matrix_policy == "fixed":
         key = (STREAM_MATRIX, snr_index)
+    elif trial is None:
+        raise ConfigError("matrix_policy=per_trial has no single design "
+                          "matrix; use matrix_policy=fixed")
     else:
         key = (STREAM_MATRIX, snr_index, trial)
     seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=key)
@@ -375,7 +385,7 @@ def se_vs_truth(cfg, ebno_db, trials, threads=1, psi=None):
     every SE index t = 0..T.  Returns (t, tau2_mc, tau2_se, rel_err) rows.
     """
     if trials < 20:
-        raise ValueError("need at least 20 trials")
+        raise ConfigError("need at least 20 trials")
     T = cfg.amp_iters
     field, code, encoder = build_experiment(cfg)
     sigma2 = snr_to_sigma2(ebno_db, cfg.B, cfg.L)
@@ -386,9 +396,15 @@ def se_vs_truth(cfg, ebno_db, trials, threads=1, psi=None):
         tau2_floor=tau2_floor_for(sigma2),
         early_stop=False,
     )
-    A = DesignMatrix(cfg.n, field.q * cfg.L, _matrix_for(cfg, 0))
+    fixed = None
+    if cfg.matrix_policy == "fixed":
+        fixed = DesignMatrix(cfg.n, field.q * cfg.L, _matrix_for(cfg, 0))
 
     def work(trial):
+        A = fixed
+        if A is None:
+            A = DesignMatrix(cfg.n, field.q * cfg.L,
+                             _matrix_for(cfg, 0, trial))
         _, _, y = trial_observation(cfg, encoder, A, sigma2, 0, trial)
         return decode(y, A, code, encoder, params).tau2_trace
 

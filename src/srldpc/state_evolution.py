@@ -21,7 +21,7 @@ import numpy as np
 from scipy.optimize import isotonic_regression
 
 from .codec import rng_stream, snr_to_sigma2
-from .denoiser import _excl_prod, _pad_adjacency
+from .denoiser import _pad_adjacency
 from .ldpc import build_code
 
 PSI_GRID = (1e-4, 1e3, 64)
@@ -225,11 +225,26 @@ def _se_variable_round(code, psi, tau2, c2v_l2, edge_var, L):
 
 def _se_check_round(q, v2c_l2, edge_factor, chk_pad, chk_mask, edge_order, E):
     centered = np.append(v2c_l2 - 1.0 / q, 1.0)
-    prods = _excl_prod(centered[chk_pad][..., None])[..., 0]
+    prods = _excl_prod_rows(centered[chk_pad])
     excl = np.empty(E)
     excl[edge_order] = prods[chk_mask]
     out = 1.0 / q + edge_factor * excl
     return np.clip(out, 1.0 / q, 1.0)
+
+
+def _excl_prod_rows(a):
+    """Products along axis 1 of a 2-D array, each entry excluded.
+
+    A cumprod along the contiguous slot axis suits these scalar
+    (checks, slots) arrays; the denoiser's (slots, nodes, q) stacks loop
+    over slots instead.
+    """
+    pre = np.ones_like(a)
+    suf = np.ones_like(a)
+    if a.shape[1] > 1:
+        np.cumprod(a[:, :-1], axis=1, out=pre[:, 1:])
+        suf[:, :-1] = np.cumprod(a[:, :0:-1], axis=1)[:, ::-1]
+    return pre * suf
 
 
 @dataclass

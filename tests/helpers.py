@@ -4,14 +4,21 @@ The oracles are deliberately implemented by direct enumeration or
 finite differences, independent of the transform-domain code paths they
 are used to verify.  check_round_message is not an oracle: it runs the
 shipped BpDenoiser check round on a single check so that the oracles
-can be compared with it message by message.
+can be compared with it message by message.  reference_bp_round and
+reference_estimate keep the earlier node-major form of the BP round
+(cumprod exclusive products, take_along_axis label permutations,
+boolean-mask gathers), which does the same floating-point operations in
+the same order as the shipped slot-major round, so the two must agree
+bit for bit.
 """
 
 import itertools
 
 import numpy as np
 
-from srldpc.denoiser import BpDenoiser, Schedule
+from srldpc.denoiser import (
+    MSG_FLOOR, BpDenoiser, Schedule, _pad_adjacency, hadamard_matrix,
+)
 from srldpc.ldpc import LdpcCode, syndrome_check
 
 
@@ -96,3 +103,62 @@ def gaussian_probability_vectors(q, tau2, count, rng):
     x -= x.max(axis=1, keepdims=True)
     e = np.exp(x)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _reference_excl_prod(a):
+    pre = np.ones_like(a)
+    suf = np.ones_like(a)
+    if a.shape[1] > 1:
+        np.cumprod(a[:, :-1], axis=1, out=pre[:, 1:])
+        suf[:, :-1] = np.cumprod(a[:, :0:-1], axis=1)[:, ::-1]
+    return pre * suf
+
+
+def _reference_normalize(mat):
+    totals = mat.sum(axis=-1, keepdims=True)
+    bad = ~np.isfinite(totals[:, 0]) | (totals[:, 0] <= 0.0)
+    if bad.any():
+        mat = mat.copy()
+        mat[bad] = 1.0 / mat.shape[-1]
+        totals = mat.sum(axis=-1, keepdims=True)
+    mat = np.maximum(mat / totals, MSG_FLOOR)
+    return mat / mat.sum(axis=-1, keepdims=True), int(bad.sum())
+
+
+def reference_bp_round(code, alpha, v2c, c2v):
+    """One flooding BP round in the node-major form.
+
+    Returns (v2c, c2v, number of rows that fell back to uniform).
+    """
+    field = code.field
+    q = field.q
+    E = code.n_edges
+    H = hadamard_matrix(q)
+    neutral = np.ones((1, q))
+    var_pad, var_mask = _pad_adjacency(code.var_edges, E)
+    chk_pad, chk_mask = _pad_adjacency(code.chk_edges, E)
+
+    gathered = np.vstack([c2v, neutral])[var_pad]
+    msgs = _reference_excl_prod(gathered) * alpha[:, None, :]
+    rows, bad_var = _reference_normalize(msgs[var_mask])
+    v2c = np.empty((E, q))
+    v2c[var_pad[var_mask]] = rows
+
+    perm_in = field.mul_table[:, field.inv(code.edge_label)].T
+    absorbed = np.take_along_axis(v2c, perm_in, axis=1)
+    spectra = np.vstack([absorbed @ H, neutral])
+    conv = _reference_excl_prod(spectra[chk_pad])[chk_mask] @ H
+    conv = np.maximum(conv * (1.0 / q), 0.0)
+    out = np.empty((E, q))
+    out[chk_pad[chk_mask]] = conv
+    perm_out = field.mul_table[:, code.edge_label].T
+    c2v, bad_chk = _reference_normalize(
+        np.take_along_axis(out, perm_out, axis=1))
+    return v2c, c2v, bad_var + bad_chk
+
+
+def reference_estimate(code, alpha, c2v):
+    """Per-section posterior in the node-major form; returns (rows, n_bad)."""
+    var_pad, _ = _pad_adjacency(code.var_edges, code.n_edges)
+    gathered = np.vstack([c2v, np.ones((1, code.field.q))])[var_pad]
+    return _reference_normalize(gathered.prod(axis=1) * alpha)

@@ -115,6 +115,74 @@ def test_decode_non_finite_obs_exit_1(tmp_path, cfg_path):
     assert not out_path.exists()
 
 
+@pytest.fixture()
+def per_trial_cfg_path(tmp_path):
+    path = tmp_path / "cfg_per_trial.txt"
+    save_config(SimConfig(**SMALL, matrix_policy="per_trial"), path)
+    return str(path)
+
+
+def test_encode_decode_per_trial_exit_1(tmp_path, per_trial_cfg_path,
+                                        capsys):
+    """per_trial has no single design matrix to encode or decode with."""
+    bits_path = tmp_path / "bits.txt"
+    bits_path.write_text("0" * SMALL["B"])
+    x_path = tmp_path / "x.txt"
+    assert main(["encode", "--config", per_trial_cfg_path,
+                 "--bits", str(bits_path), "--out", str(x_path)]) == 1
+    assert not x_path.exists()
+    obs_path = tmp_path / "y.txt"
+    obs_path.write_text("0.0\n" * SMALL["n"])
+    out_path = tmp_path / "bits_out.txt"
+    assert main(["decode", "--config", per_trial_cfg_path,
+                 "--obs", str(obs_path), "--out", str(out_path)]) == 1
+    assert not out_path.exists()
+    assert "per_trial" in capsys.readouterr().err
+
+
+def test_se_vs_truth_per_trial_command(tmp_path, per_trial_cfg_path):
+    out = tmp_path / "svt.csv"
+    rc = main(["se-vs-truth", "--config", per_trial_cfg_path,
+               "--ebno", "8.0", "--trials", "20", "--out", str(out)])
+    assert rc == 0
+    assert out.read_text().startswith("t,tau2_mc,tau2_se,rel_err")
+
+
+def test_se_vs_truth_too_few_trials_exit_1(cfg_path):
+    assert main(["se-vs-truth", "--config", cfg_path, "--ebno", "8.0",
+                 "--trials", "5"]) == 1
+
+
+def test_tune_rate_non_numeric_rates_exit_1(cfg_path):
+    assert main(["tune-rate", "--config", cfg_path, "--rates", "abc"]) == 1
+
+
+def test_decode_malformed_obs_exit_1(tmp_path, cfg_path):
+    obs_path = tmp_path / "y.txt"
+    obs_path.write_text("0.5\nnot-a-number\n" * (SMALL["n"] // 2))
+    out_path = tmp_path / "bits_out.txt"
+    rc = main(["decode", "--config", cfg_path, "--obs", str(obs_path),
+               "--out", str(out_path)])
+    assert rc == 1
+    assert not out_path.exists()
+
+
+def test_library_value_error_exit_2(tmp_path, cfg_path, monkeypatch, capsys):
+    """A ValueError raised inside the library is a runtime failure."""
+    def failing_decode(*args, **kwargs):
+        raise ValueError("numerical failure")
+
+    monkeypatch.setattr("srldpc.cli.decode", failing_decode)
+    obs_path = tmp_path / "y.txt"
+    obs_path.write_text("0.0\n" * SMALL["n"])
+    out_path = tmp_path / "bits_out.txt"
+    rc = main(["decode", "--config", cfg_path, "--obs", str(obs_path),
+               "--out", str(out_path)])
+    assert rc == 2
+    assert "runtime failure: ValueError" in capsys.readouterr().err
+    assert not out_path.exists()
+
+
 def test_encode_wrong_bit_count_exit_1(tmp_path, cfg_path):
     bits_path = tmp_path / "bits.txt"
     bits_path.write_text("0101")

@@ -3,11 +3,13 @@ import pytest
 
 from helpers import (
     check_round_message, check_update_bruteforce, exhaustive_posteriors,
+    reference_bp_round, reference_estimate,
 )
 from srldpc.denoiser import (
     BpDenoiser, Schedule, divergence_terms, hadamard_matrix, local_posterior,
 )
 from srldpc.gf import GF2m, fq_convolve
+from srldpc.harness import SimConfig, build_experiment
 from srldpc.ldpc import LdpcCode, build_code
 
 
@@ -270,6 +272,56 @@ def test_vectorized_rounds_match_reference_updates(small_code):
     for l in range(code.L):
         ref = product(alpha[l], c2v[code.var_edges[l]])
         assert np.abs(est[l] - ref).max() < 1e-10
+
+
+ORACLE_CODES = {
+    # the desk code: q=16, L=128, P=8, check degree 48
+    "desk": lambda: build_experiment(SimConfig())[1],
+    # check degrees 21 and 22, so padded slots take part
+    "irregular": lambda: build_code(GF2m(4), L=50, P=7, dv=3, seed=4)[0],
+    "underflow": lambda: build_code(GF2m(2), L=12, P=4, dv=3, seed=2)[0],
+}
+
+
+@pytest.mark.parametrize("schedule", ["bpn", "bp1kg"])
+@pytest.mark.parametrize("case", sorted(ORACLE_CODES))
+def test_bp_round_bitwise_matches_reference(case, schedule):
+    """The shipped slot-major round equals the node-major reference form
+    bit for bit after every round, underflow fallbacks included."""
+    code = ORACLE_CODES[case]()
+    q = code.field.q
+    rng = np.random.default_rng(13)
+    sched = Schedule(schedule)
+    den = BpDenoiser(code, sched)
+    underflow = rounds = 0
+    for t in range(5):
+        tau2 = (0.05, 0.03, 0.02, 1e-3, 1e-5)[t]
+        r = rng.standard_normal((code.L, q)) * np.sqrt(tau2)
+        r[np.arange(code.L), rng.integers(0, q, size=code.L)] += 1.0
+        den.init_alpha(r.ravel(), tau2)
+        if case == "underflow":
+            # every local posterior on symbol 1, every incoming check
+            # message on symbol 2: each variable product is exactly 0
+            den.alpha = np.tile(np.eye(q)[1], (code.L, 1))
+        if t == 0 or not sched.keep_graph:
+            den.reset_messages()
+            if case == "underflow":
+                den.c2v[:] = np.eye(q)[2]
+            v2c, c2v = den.v2c.copy(), den.c2v.copy()
+        for _ in range(sched.rounds(t)):
+            den.bp_round()
+            v2c, c2v, n_bad = reference_bp_round(code, den.alpha, v2c, c2v)
+            underflow += n_bad
+            assert np.array_equal(den.v2c, v2c)
+            assert np.array_equal(den.c2v, c2v)
+            assert den.underflow_events == underflow
+            est, n_bad = reference_estimate(code, den.alpha, c2v)
+            underflow += n_bad
+            assert np.array_equal(den.estimate(), est)
+            assert den.underflow_events == underflow
+            rounds += 1
+    assert rounds >= 5
+    assert (underflow > 0) == (case == "underflow")
 
 
 def test_cycle_free_code_exact_posteriors():

@@ -3,7 +3,8 @@ import json
 import pytest
 
 from srldpc.harness import (
-    ConfigError, SimConfig, load_config, rate_sweep, run_point, save_config,
+    ConfigError, SimConfig, _matrix_for, build_experiment, load_config,
+    rate_sweep, run_point, save_config,
     se_predict, se_vs_truth, sweep, write_rate_csv,
     write_se_csv, write_se_vs_truth_csv, RESULTS_HEADER,
 )
@@ -128,6 +129,40 @@ def test_run_point_per_trial_matrix_policy():
     assert row.trials == 6
 
 
+@pytest.mark.parametrize("schedule, expected", [
+    ("bpn", (64, 3, 57, 531, 0)),
+    ("bp0", (64, 4, 80, 1264, 0)),
+])
+def test_run_point_desk_outcomes_pinned(schedule, expected):
+    """Seeded desk outcomes at the waterfall point (master seed 1, trials
+    0..63, 4.25 dB): (trials, codeword errors, bit errors, AMP
+    iterations, aborts).  A change to any seeded result shows here."""
+    cfg = SimConfig(schedule=schedule, seed=1, trials=64, target_errors=64,
+                    ebno_db=(4.25,))
+    row = run_point(cfg, 4.25)
+    iters = int(round(row.mean_amp_iters * row.trials))
+    assert (row.trials, row.codeword_errors, row.bit_errors, iters,
+            row.aborts) == expected
+
+
+def test_matrix_for_per_trial_needs_trial():
+    cfg = SimConfig(**{**SMALL, "matrix_policy": "per_trial"})
+    with pytest.raises(ConfigError, match="per_trial"):
+        _matrix_for(cfg, 0)
+    assert _matrix_for(cfg, 0, 3) != _matrix_for(cfg, 0, 4)
+    fixed = SimConfig(**SMALL)
+    assert _matrix_for(fixed, 0) == _matrix_for(fixed, 0, 3)
+
+
+@pytest.mark.parametrize("overrides", [
+    {"m": 9, "B": 18 * 9},     # no GF(2^9)
+    {"P": 1, "B": 23 * 3},     # dv=2 > P=1
+])
+def test_build_experiment_impossible_config(overrides):
+    with pytest.raises(ConfigError):
+        build_experiment(SimConfig(**{**SMALL, **overrides}))
+
+
 # ---------------------------------------------------------------------------
 # sweep and CSV emission
 # ---------------------------------------------------------------------------
@@ -204,6 +239,21 @@ def test_se_vs_truth_requires_trials(psi8):
     cfg = SimConfig(**SMALL)
     with pytest.raises(ValueError):
         se_vs_truth(cfg, 8.0, trials=5, psi=psi8)
+
+
+def test_se_vs_truth_per_trial_matrices(psi8):
+    """Under per_trial every trial decodes against its own matrix, as in
+    run_trial, so the measured trajectory differs from the fixed one."""
+    base = {**SMALL, "amp_iters": 4}
+    per_trial = se_vs_truth(
+        SimConfig(**{**base, "matrix_policy": "per_trial"}), 8.0,
+        trials=20, psi=psi8)
+    fixed = se_vs_truth(SimConfig(**base), 8.0, trials=20, psi=psi8)
+    assert [row[2] for row in per_trial] == [row[2] for row in fixed]
+    assert [row[1] for row in per_trial] != [row[1] for row in fixed]
+    expected0 = SMALL["L"] / (2 * SMALL["B"] * 10 ** 0.8) \
+        + SMALL["L"] / SMALL["n"]
+    assert per_trial[0][1] == pytest.approx(expected0, rel=0.1)
 
 
 def test_rate_sweep_rows_and_csv(tmp_path, psi8):
