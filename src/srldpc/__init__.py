@@ -7,7 +7,7 @@ state-evolution recursion, and run Monte-Carlo error-rate experiments.
 
 from .gf import GF2m
 from .ldpc import LdpcCode, build_code
-from .codec import DesignMatrix, ChannelParams
+from .codec import DesignMatrix
 from .amp import decode, DecoderParams
 from .denoiser import BpDenoiser, Schedule
 
@@ -16,7 +16,6 @@ __all__ = [
     "LdpcCode",
     "build_code",
     "DesignMatrix",
-    "ChannelParams",
     "decode",
     "DecoderParams",
     "BpDenoiser",

@@ -16,7 +16,7 @@ from .denoiser import Schedule
 from .harness import (
     ConfigError, load_config, sweep, se_predict, se_vs_truth, rate_sweep,
     build_experiment, channel_input, _matrix_for,
-    write_se_csv, write_se_vs_truth_csv, write_rate_csv,
+    write_se_csv, write_rate_csv,
 )
 from .state_evolution import best_candidate
 
@@ -28,8 +28,6 @@ def _build_parser():
     )
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config master seed")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for Monte-Carlo trials")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="Monte-Carlo SNR sweep")
@@ -84,7 +82,7 @@ def _read_bits(path):
 
 def _cmd_simulate(args):
     cfg = _load(args)
-    rows = sweep(cfg, out_csv=args.out, threads=args.threads)
+    rows = sweep(cfg, out_csv=args.out)
     for row in rows:
         print(f"ebno={row.ebno_db:g} trials={row.trials} "
               f"ber={row.ber:.4e} cer={row.cer:.4e} "
@@ -102,9 +100,8 @@ def _cmd_se(args):
 
 def _cmd_se_vs_truth(args):
     cfg = _load(args)
-    rows = se_vs_truth(cfg, args.ebno, args.trials, threads=args.threads)
+    rows = se_vs_truth(cfg, args.ebno, args.trials, out_csv=args.out)
     if args.out:
-        write_se_vs_truth_csv(rows, args.out)
         print(f"wrote {args.out}")
     t, mc, se, rel = rows[-1]
     print(f"t={t} tau2_mc={mc:.6e} tau2_se={se:.6e} rel_err={rel:.3f}")

@@ -7,8 +7,6 @@ from counter-based Philox streams keyed by (seed, stream id, ...), so
 matrix, labels, noise, and trials are independently reproducible.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 STREAM_MATRIX = 0
@@ -124,21 +122,3 @@ def snr_to_sigma2(ebno_db, B, L):
     if B <= 0 or L <= 0:
         raise ValueError("B and L must be positive")
     return L / (2.0 * B * 10.0 ** (ebno_db / 10.0))
-
-
-@dataclass(frozen=True)
-class ChannelParams:
-    """AWGN channel bookkeeping for one operating point."""
-
-    sigma2: float
-    ebno_db: float
-    B: int
-    L: int
-    n: int
-
-    @classmethod
-    def from_ebno(cls, ebno_db, B, L, n):
-        return cls(
-            sigma2=snr_to_sigma2(ebno_db, B, L),
-            ebno_db=ebno_db, B=B, L=L, n=n,
-        )

@@ -131,11 +131,10 @@ class BpDenoiser:
     one decode at a time; separate decodes need separate instances.
     """
 
-    def __init__(self, code, schedule, extrinsic=False):
+    def __init__(self, code, schedule):
         self.code = code
         self.field = code.field
         self.schedule = schedule
-        self.extrinsic = extrinsic
 
         q = self.field.q
         E = code.n_edges
@@ -229,20 +228,14 @@ class BpDenoiser:
         self._c2v_pad[:E] = self._renorm(conv.take(self._relabel))
 
     def estimate(self):
-        """Per-section posterior (L, q) including the local observation.
-
-        With the extrinsic flag the local observation is left out, which
-        is only meaningful for diagnostics.
-        """
+        """Per-section posterior (L, q) including the local observation."""
         if self.alpha is None:
             raise RuntimeError("init_alpha must run before estimate")
         if self.code.n_edges == 0:
             prod = np.ones_like(self.alpha)
         else:
             prod = self._c2v_pad[self._var_pad].prod(axis=0)
-        if not self.extrinsic:
-            prod = prod * self.alpha
-        return self._renorm(prod)
+        return self._renorm(prod * self.alpha)
 
     def _renorm(self, mat):
         out, n_bad = _normalize_rows(mat)

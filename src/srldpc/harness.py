@@ -5,13 +5,12 @@ Every number an experiment emits is reproducible from the master seed in
 the config: codes, matrices, payload bits, and noise all draw from
 dedicated (seed, stream, ...) substreams.  Early stopping processes
 trials in index order and keeps every completed trial, so the estimates
-are unbiased and independent of the thread count.
+are unbiased.
 """
 
 import json
 import subprocess
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -79,6 +78,8 @@ class SimConfig:
             raise ConfigError(str(exc)) from exc
         if not self.ebno_db:
             raise ConfigError("need at least one ebno_db point")
+        if not np.all(np.isfinite(self.ebno_db)):
+            raise ConfigError("ebno_db points must be finite")
 
     @property
     def rate_overall(self):
@@ -219,14 +220,33 @@ def run_trial(cfg, code, encoder, A, sigma2, params, snr_index, trial):
     return bit_errors, cw_error, res.iterations_used, tau2_final, aborted
 
 
-def run_point(cfg, ebno_db, snr_index=0, threads=1, prebuilt=None):
-    """Monte-Carlo at one SNR: trials until target_errors codeword errors
-    are collected or cfg.trials is exhausted."""
+def _sigma2(cfg, ebno_db):
+    """AWGN variance at one Eb/N0 point; a non-finite point is a config
+    error rather than a NaN trajectory."""
+    if not np.isfinite(ebno_db):
+        raise ConfigError(f"Eb/N0 must be finite, got {ebno_db}")
+    return snr_to_sigma2(ebno_db, cfg.B, cfg.L)
+
+
+def _claim_output(path):
+    """Create an output file before any trial runs, so a path that cannot
+    be written fails at once as a config error instead of after the work."""
+    if path is None:
+        return
+    try:
+        open(path, "w").close()
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
+
+
+def run_point(cfg, ebno_db, snr_index=0, prebuilt=None):
+    """Monte-Carlo at one SNR: trials in index order until target_errors
+    codeword errors are collected or cfg.trials is exhausted."""
     if prebuilt is None:
         _, code, encoder = build_experiment(cfg)
     else:
         _, code, encoder = prebuilt
-    sigma2 = snr_to_sigma2(ebno_db, cfg.B, cfg.L)
+    sigma2 = _sigma2(cfg, ebno_db)
     params = DecoderParams(
         amp_iters=cfg.amp_iters,
         final_bp_iters=cfg.final_bp_iters,
@@ -245,40 +265,17 @@ def run_point(cfg, ebno_db, snr_index=0, threads=1, prebuilt=None):
     tau2_sum = 0.0
     trials_run = 0
     aborts = 0
-
-    def work(trial):
-        return run_trial(cfg, code, encoder, A, sigma2, params,
-                         snr_index, trial)
-
-    if threads > 1:
-        executor = ThreadPoolExecutor(max_workers=threads)
-    else:
-        executor = None
-    try:
-        trial = 0
-        while trial < cfg.trials:
-            chunk = range(trial, min(trial + max(1, 2 * threads), cfg.trials))
-            if executor is None:
-                results = map(work, chunk)
-            else:
-                results = executor.map(work, chunk)
-            done = False
-            for be, cw, iters, tau2, aborted in results:
-                trials_run += 1
-                bit_errors += be
-                cw_errors += int(cw)
-                iters_sum += iters
-                tau2_sum += tau2
-                aborts += int(aborted)
-                if cw_errors >= cfg.target_errors:
-                    done = True
-                    break
-            if done:
-                break
-            trial = chunk.stop
-    finally:
-        if executor is not None:
-            executor.shutdown(wait=False, cancel_futures=True)
+    for trial in range(cfg.trials):
+        be, cw, iters, tau2, aborted = run_trial(
+            cfg, code, encoder, A, sigma2, params, snr_index, trial)
+        trials_run += 1
+        bit_errors += be
+        cw_errors += int(cw)
+        iters_sum += iters
+        tau2_sum += tau2
+        aborts += int(aborted)
+        if cw_errors >= cfg.target_errors:
+            break
 
     return PointResult(
         ebno_db=ebno_db,
@@ -294,12 +291,14 @@ def run_point(cfg, ebno_db, snr_index=0, threads=1, prebuilt=None):
     )
 
 
-def sweep(cfg, out_csv=None, threads=1):
+def sweep(cfg, out_csv=None):
     """All SNR points in order; optionally emit CSV, metadata, and a plot
-    description file next to it."""
+    description file next to it.  The CSV is opened before the first
+    trial."""
     prebuilt = build_experiment(cfg)
+    _claim_output(out_csv)
     rows = [
-        run_point(cfg, ebno, snr_index=i, threads=threads, prebuilt=prebuilt)
+        run_point(cfg, ebno, snr_index=i, prebuilt=prebuilt)
         for i, ebno in enumerate(cfg.ebno_db)
     ]
     if out_csv is not None:
@@ -364,7 +363,7 @@ def _write_plot_spec(cfg, rows, out_csv):
 def se_predict(cfg, ebno_db, T=None, psi=None):
     """Approximate-SE trajectory for the configured code at one SNR."""
     _, code, _ = build_experiment(cfg)
-    sigma2 = snr_to_sigma2(ebno_db, cfg.B, cfg.L)
+    sigma2 = _sigma2(cfg, ebno_db)
     T = cfg.amp_iters if T is None else T
     return approximate_se(code, cfg.n, sigma2, T, Schedule(cfg.schedule),
                           psi=psi)
@@ -377,18 +376,20 @@ def write_se_csv(trace, path):
             fh.write(f"{t},{tau2:.8e}\n")
 
 
-def se_vs_truth(cfg, ebno_db, trials, threads=1, psi=None):
+def se_vs_truth(cfg, ebno_db, trials, psi=None, out_csv=None):
     """Mean measured residual-energy trajectory versus the SE prediction.
 
     Decodes run the full AMP schedule (no early termination, no final BP)
     for one extra iteration so the measured ||z_t||^2 / n exists for
-    every SE index t = 0..T.  Returns (t, tau2_mc, tau2_se, rel_err) rows.
+    every SE index t = 0..T.  Returns (t, tau2_mc, tau2_se, rel_err) rows
+    and, like sweep, opens out_csv before the first trial and writes the
+    rows to it.
     """
     if trials < 20:
         raise ConfigError("need at least 20 trials")
     T = cfg.amp_iters
+    sigma2 = _sigma2(cfg, ebno_db)
     field, code, encoder = build_experiment(cfg)
-    sigma2 = snr_to_sigma2(ebno_db, cfg.B, cfg.L)
     params = DecoderParams(
         amp_iters=T + 1,
         final_bp_iters=0,
@@ -399,8 +400,9 @@ def se_vs_truth(cfg, ebno_db, trials, threads=1, psi=None):
     fixed = None
     if cfg.matrix_policy == "fixed":
         fixed = DesignMatrix(cfg.n, field.q * cfg.L, _matrix_for(cfg, 0))
+    _claim_output(out_csv)
 
-    def work(trial):
+    def trace(trial):
         A = fixed
         if A is None:
             A = DesignMatrix(cfg.n, field.q * cfg.L,
@@ -408,12 +410,7 @@ def se_vs_truth(cfg, ebno_db, trials, threads=1, psi=None):
         _, _, y = trial_observation(cfg, encoder, A, sigma2, 0, trial)
         return decode(y, A, code, encoder, params).tau2_trace
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            traces = list(pool.map(work, range(trials)))
-    else:
-        traces = [work(trial) for trial in range(trials)]
-    tau2_mc = np.mean(np.stack(traces), axis=0)
+    tau2_mc = np.mean(np.stack([trace(t) for t in range(trials)]), axis=0)
 
     se_trace = approximate_se(code, cfg.n, sigma2, T, Schedule(cfg.schedule),
                               psi=psi)
@@ -422,6 +419,8 @@ def se_vs_truth(cfg, ebno_db, trials, threads=1, psi=None):
         mc = float(tau2_mc[t])
         se = float(se_trace.tau2[t])
         rows.append((t, mc, se, abs(se - mc) / mc))
+    if out_csv is not None:
+        write_se_vs_truth_csv(rows, out_csv)
     return rows
 
 

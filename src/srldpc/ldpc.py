@@ -14,6 +14,8 @@ import numpy as np
 
 from .gf import GF2m
 
+LABEL_DRAWS = 16    # label draws build_code tries before giving up
+
 
 class RankDeficientError(ValueError):
     """Parity-check matrix does not have full row rank over GF(q)."""
@@ -275,7 +277,7 @@ class Encoder:
         return v
 
 
-def build_code(field, L, P, dv, seed, max_attempts=16):
+def build_code(field, L, P, dv, seed):
     """PEG graph + random labels + encoder, redrawing labels on rank loss.
 
     Random GF(q) labels make a rank-deficient parity matrix exceedingly
@@ -291,7 +293,7 @@ def build_code(field, L, P, dv, seed, max_attempts=16):
 
     graph = peg_construct(field, L, P, dv)
     last = None
-    for attempt in range(max_attempts):
+    for attempt in range(LABEL_DRAWS):
         code = assign_edge_labels(graph, seed + attempt)
         try:
             return code, Encoder(code)

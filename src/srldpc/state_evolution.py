@@ -26,6 +26,7 @@ from .ldpc import build_code
 
 PSI_GRID = (1e-4, 1e3, 64)
 PSI_SAMPLES = 200_000
+PSI_REBUILDS = 2
 
 
 class PsiTable:
@@ -81,19 +82,19 @@ def _mc_alpha0_mean(q, tau2, samples, rng, chunk=1 << 18):
     return total / samples
 
 
-def build_psi(q, grid_spec=PSI_GRID, samples=PSI_SAMPLES, seed=0,
-              max_rebuilds=2):
+def build_psi(q, grid_spec=PSI_GRID, samples=PSI_SAMPLES, seed=0):
     """Tabulate Psi by Monte-Carlo with isotonic smoothing.
 
     If the raw table strays from monotone by more than the expected MC
-    noise, the estimate is rebuilt with four times the samples.
+    noise, the estimate is rebuilt with four times the samples, at most
+    PSI_REBUILDS times.
     """
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples per grid point")
     lo, hi, points = grid_spec
     tau2_grid = np.logspace(np.log10(lo), np.log10(hi), int(points))
 
-    for attempt in range(max_rebuilds + 1):
+    for attempt in range(PSI_REBUILDS + 1):
         n_samp = samples * (4 ** attempt)
         rng = rng_stream(seed, 100, attempt)
         raw = np.array([
@@ -166,15 +167,8 @@ def approximate_se(code, n, sigma2, T, schedule, psi=None):
     q = code.field.q
     L, E = code.L, code.n_edges
     edge_var = code.edge_var
-    edge_chk = code.edge_chk
-
-    chk_deg = code.chk_degrees()
-    # (q/(q-1))^(deg-2) per edge: the check rule prefactor with one
-    # incoming message fewer than the check degree.
     if E:
-        edge_factor = (q / (q - 1.0)) ** (chk_deg[edge_chk] - 2.0)
-        chk_pad, chk_mask = _pad_adjacency(code.chk_edges, E)
-        edge_order = chk_pad[chk_mask]
+        check_maps = _se_check_maps(code)
 
     tau2 = sigma2 + L / n
     trace = [tau2]
@@ -185,10 +179,8 @@ def approximate_se(code, n, sigma2, T, schedule, psi=None):
         c2v_l2 = np.full(E, 1.0 / q)
         if E:
             for _ in range(schedule.rounds(t)):
-                v2c_l2 = _se_variable_round(
-                    code, psi, tau2, c2v_l2, edge_var, L)
-                c2v_l2 = _se_check_round(
-                    q, v2c_l2, edge_factor, chk_pad, chk_mask, edge_order, E)
+                v2c_l2 = _se_variable_round(psi, tau2, c2v_l2, edge_var, L)
+                c2v_l2 = _se_check_round(q, v2c_l2, check_maps)
         # Output: combine the AMP observation with all check neighbors.
         inv_sum = _per_var_inv_sum(psi, c2v_l2, edge_var, L)
         tau2_out = 1.0 / (1.0 / tau2 + inv_sum)
@@ -215,7 +207,7 @@ def _per_var_inv_sum(psi, c2v_l2, edge_var, L):
     return out
 
 
-def _se_variable_round(code, psi, tau2, c2v_l2, edge_var, L):
+def _se_variable_round(psi, tau2, c2v_l2, edge_var, L):
     inv_sum = _per_var_inv_sum(psi, c2v_l2, edge_var, L)
     with np.errstate(divide="ignore"):
         inv_edge = 1.0 / np.asarray(psi.inverse(c2v_l2))
@@ -223,10 +215,21 @@ def _se_variable_round(code, psi, tau2, c2v_l2, edge_var, L):
     return np.asarray(psi.value(tilde))
 
 
-def _se_check_round(q, v2c_l2, edge_factor, chk_pad, chk_mask, edge_order, E):
+def _se_check_maps(code):
+    """Per-edge prefactor and padded (check, slot) layout of the check
+    round.  The prefactor is (q/(q-1))^(deg-2): the check rule with one
+    incoming message fewer than the check degree."""
+    q, E = code.field.q, code.n_edges
+    edge_factor = (q / (q - 1.0)) ** (code.chk_degrees()[code.edge_chk] - 2.0)
+    chk_pad, chk_mask = _pad_adjacency(code.chk_edges, E)
+    return edge_factor, chk_pad, chk_mask, chk_pad[chk_mask]
+
+
+def _se_check_round(q, v2c_l2, check_maps):
+    edge_factor, chk_pad, chk_mask, edge_order = check_maps
     centered = np.append(v2c_l2 - 1.0 / q, 1.0)
     prods = _excl_prod_rows(centered[chk_pad])
-    excl = np.empty(E)
+    excl = np.empty(v2c_l2.size)
     excl[edge_order] = prods[chk_mask]
     out = 1.0 / q + edge_factor * excl
     return np.clip(out, 1.0 / q, 1.0)

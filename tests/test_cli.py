@@ -47,7 +47,10 @@ def test_missing_config_exit_1(tmp_path):
     assert rc == 1
 
 
-@pytest.mark.parametrize("argv", [[], ["simulate"]])
+@pytest.mark.parametrize("argv", [
+    [], ["simulate"],
+    ["--threads", "2", "simulate", "--config", "c.txt", "--out", "r.csv"],
+])
 def test_usage_error_exit_1(argv, capsys):
     assert main(argv) == 1
     assert "usage:" in capsys.readouterr().err
@@ -210,3 +213,42 @@ def test_seed_override_changes_results(tmp_path, cfg_path):
     t1 = [l.split(",")[7] for l in out1.read_text().splitlines()[1:]]
     t2 = [l.split(",")[7] for l in out2.read_text().splitlines()[1:]]
     assert t1 != t2
+
+
+@pytest.mark.parametrize("ebno", ["nan", "inf"])
+def test_simulate_non_finite_ebno_exit_1(tmp_path, ebno):
+    path = tmp_path / "cfg.txt"
+    save_config(SimConfig(**SMALL), path)
+    path.write_text(path.read_text().replace("ebno_db=8", f"ebno_db={ebno}"))
+    out = tmp_path / "res.csv"
+    rc = main(["simulate", "--config", str(path), "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["se", "--ebno", "nan"],
+    ["se-vs-truth", "--ebno", "inf", "--trials", "20"],
+])
+def test_se_non_finite_ebno_exit_1(tmp_path, cfg_path, argv, capsys):
+    out = tmp_path / "out.csv"
+    rc = main(argv + ["--config", cfg_path, "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    assert "finite" in capsys.readouterr().err
+
+
+def test_unwritable_out_fails_before_any_trial(tmp_path, cfg_path,
+                                               monkeypatch, capsys):
+    """An --out that cannot be opened is a config error, raised before
+    the first trial rather than after the whole Monte-Carlo run."""
+    def no_trials(*args, **kwargs):
+        raise AssertionError("a trial ran before --out was opened")
+
+    monkeypatch.setattr("srldpc.harness.run_point", no_trials)
+    monkeypatch.setattr("srldpc.harness.decode", no_trials)
+    out = str(tmp_path / "missing" / "out.csv")
+    assert main(["simulate", "--config", cfg_path, "--out", out]) == 1
+    assert main(["se-vs-truth", "--config", cfg_path, "--ebno", "8.0",
+                 "--trials", "20", "--out", out]) == 1
+    assert "cannot write" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from srldpc.codec import (
-    ChannelParams, DesignMatrix, awgn, hard_decision, index_codeword,
+    DesignMatrix, awgn, hard_decision, index_codeword,
     rng_stream, snr_to_sigma2, transmit,
 )
 from srldpc.denoiser import local_posterior
@@ -161,6 +161,7 @@ def test_snr_to_sigma2_unit_point():
 
 
 def test_snr_to_sigma2_reference_value():
+    # the paper's operating point: B=5888, L=766 at 2.5 dB
     assert snr_to_sigma2(2.5, 5888, 766) == pytest.approx(0.03658, rel=1e-3)
 
 
@@ -168,11 +169,6 @@ def test_snr_to_sigma2_scaling():
     s1 = snr_to_sigma2(3.0, 480, 128)
     s2 = snr_to_sigma2(3.0, 960, 128)
     assert s2 == pytest.approx(s1 / 2, rel=1e-12)
-
-
-def test_channel_params():
-    p = ChannelParams.from_ebno(2.5, B=5888, L=766, n=7350)
-    assert p.sigma2 == pytest.approx(0.03658, rel=1e-3)
 
 
 def test_rng_streams_reproducible_and_distinct():

@@ -344,23 +344,6 @@ def test_cycle_free_code_exact_posteriors():
     assert np.abs(out - exact).max() < 1e-9
 
 
-def test_extrinsic_estimate_drops_alpha(small_code):
-    rng = np.random.default_rng(10)
-    q = small_code.field.q
-    r = rng.standard_normal(small_code.L * q)
-    den = BpDenoiser(small_code, Schedule(None, explicit=[1]),
-                     extrinsic=True)
-    out = den.denoise(r, 0.4, t=0).reshape(small_code.L, q)
-    alpha = local_posterior(r.reshape(small_code.L, q), 0.4)
-    for l in range(small_code.L):
-        ref = np.ones(q)
-        for e in small_code.var_edges[l]:
-            ref = ref * den.c2v[e]
-        ref /= ref.sum()
-        assert np.abs(out[l] - ref).max() < 1e-9
-        assert not np.allclose(out[l], alpha[l], atol=1e-6)
-
-
 def test_keep_graph_retains_messages(small_code):
     rng = np.random.default_rng(11)
     q = small_code.field.q

@@ -96,15 +96,6 @@ def test_run_point_deterministic():
     assert a.mean_tau2_final == b.mean_tau2_final
 
 
-def test_run_point_threads_match_serial():
-    cfg = SimConfig(**{**SMALL, "ebno_db": (2.0,), "trials": 12,
-                       "target_errors": 100})
-    a = run_point(cfg, 2.0, threads=1)
-    b = run_point(cfg, 2.0, threads=3)
-    assert (a.trials, a.bit_errors, a.codeword_errors) == \
-           (b.trials, b.bit_errors, b.codeword_errors)
-
-
 def test_run_point_early_stop():
     cfg = SimConfig(**{**SMALL, "ebno_db": (0.0,), "trials": 200,
                        "target_errors": 3})

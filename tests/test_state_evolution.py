@@ -5,8 +5,8 @@ from srldpc.denoiser import Schedule
 from srldpc.gf import GF2m
 from srldpc.ldpc import build_code
 from srldpc.state_evolution import (
-    approximate_se, build_psi, get_psi, se_check_mse,
-    se_variable_tau, tune_rate,
+    _se_check_maps, _se_check_round, _se_variable_round, approximate_se,
+    build_psi, get_psi, se_check_mse, se_variable_tau, tune_rate,
 )
 
 
@@ -208,3 +208,38 @@ def test_tune_rate_skips_infeasible(psi16):
         rows = tune_rate(field, [(128, 8), (130, 8)], B=480, n=600, dv=3,
                          ebno_db=4.0, T=5, seed=5, psi=psi16)
     assert len(rows) == 1
+
+
+def test_shipped_se_rounds_match_scalar_rules(psi16):
+    """The vectorized rounds approximate_se runs agree, edge by edge, with
+    the scalar rules on an irregular code (check degrees 21 and 22), with
+    some exactly-uniform messages whose Psi^-1 is inf."""
+    q = 16
+    code, _ = build_code(GF2m(4), L=50, P=7, dv=3, seed=4)
+    assert set(code.chk_degrees()) == {21, 22}
+    E = code.n_edges
+    rng = np.random.default_rng(21)
+
+    def messages():
+        # skewed toward 1 so the 20-fold check products stay well above
+        # the rounding of the 1/q offset
+        x = 1 / q + (1 - 1 / q) * rng.uniform(size=E) ** 0.25
+        x[rng.choice(E, size=E // 8, replace=False)] = 1 / q
+        return x
+
+    v2c, c2v = messages(), messages()
+    assert np.isinf(psi16.inverse(c2v)).sum() == E // 8
+    tau2 = 0.3
+
+    out_c2v = _se_check_round(q, v2c, _se_check_maps(code))
+    for e in range(E):
+        others = [f for f in code.chk_edges[code.edge_chk[e]] if f != e]
+        expected, _ = se_check_mse(v2c[others], q)
+        assert out_c2v[e] == pytest.approx(expected, rel=1e-12)
+
+    out_v2c = _se_variable_round(psi16, tau2, c2v, code.edge_var, code.L)
+    for e in range(E):
+        others = [f for f in code.var_edges[code.edge_var[e]] if f != e]
+        tilde = se_variable_tau(tau2, psi16.inverse(c2v[others]))
+        expected = psi16.value(tilde)
+        assert out_v2c[e] == pytest.approx(expected, rel=1e-12)
