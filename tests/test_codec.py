@@ -7,6 +7,7 @@ from srldpc.codec import (
 )
 from srldpc.denoiser import local_posterior
 from srldpc.gf import GF2m
+from srldpc.harness import SimConfig, _sigma2
 from srldpc.ldpc import build_code, syndrome_check
 
 
@@ -169,6 +170,15 @@ def test_snr_to_sigma2_scaling():
     s1 = snr_to_sigma2(3.0, 480, 128)
     s2 = snr_to_sigma2(3.0, 960, 128)
     assert s2 == pytest.approx(s1 / 2, rel=1e-12)
+
+
+def test_channel_params():
+    # the paper's operating point as an experiment config carries it:
+    # q=256, L=766, P=30, so B=5888, with n=7350 channel uses
+    cfg = SimConfig(m=8, L=766, P=30, B=5888, n=7350, ebno_db=(2.5,))
+    assert cfg.rate_overall == pytest.approx(5888 / 7350, rel=1e-12)
+    assert _sigma2(cfg, 2.5) == snr_to_sigma2(2.5, 5888, 766)
+    assert _sigma2(cfg, 2.5) == pytest.approx(0.03658, rel=1e-3)
 
 
 def test_rng_streams_reproducible_and_distinct():
