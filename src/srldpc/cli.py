@@ -10,12 +10,10 @@ from dataclasses import replace
 
 import numpy as np
 
-from .amp import DecoderParams, decode
-from .codec import DesignMatrix
-from .denoiser import Schedule
+from .amp import decode
 from .harness import (
     ConfigError, load_config, sweep, se_predict, se_vs_truth, rate_sweep,
-    build_experiment, channel_input, _matrix_for,
+    build_experiment, channel_input, decoder_params, design_matrix,
     write_se_csv, write_rate_csv,
 )
 from .state_evolution import best_candidate
@@ -133,9 +131,8 @@ def _cmd_encode(args):
     bits = _read_bits(args.bits)
     if bits.size != cfg.B:
         raise ConfigError(f"expected {cfg.B} bits, got {bits.size}")
-    field, _, encoder = build_experiment(cfg)
-    A = DesignMatrix(cfg.n, field.q * cfg.L, _matrix_for(cfg, 0))
-    _, x = channel_input(encoder, bits, A)
+    _, _, encoder = build_experiment(cfg)
+    _, x = channel_input(encoder, bits, design_matrix(cfg, 0))
     np.savetxt(args.out, x, fmt="%.17g")
     print(f"wrote {args.out} ({x.size} channel uses)")
 
@@ -150,17 +147,11 @@ def _cmd_decode(args):
         raise ConfigError(f"expected {cfg.n} observations, got {y.shape}")
     if not np.all(np.isfinite(y)):
         raise ConfigError(f"{args.obs}: observations must be finite")
-    field, code, encoder = build_experiment(cfg)
-    A = DesignMatrix(cfg.n, field.q * cfg.L, _matrix_for(cfg, 0))
+    _, code, encoder = build_experiment(cfg)
     # the noise level is unknown here; tau^2 is estimated from the
     # residual, so only the generic floor applies
-    params = DecoderParams(
-        amp_iters=cfg.amp_iters,
-        final_bp_iters=cfg.final_bp_iters,
-        schedule=Schedule(cfg.schedule),
-        tau2_floor=1e-12,
-    )
-    res = decode(y, A, code, encoder, params)
+    params = decoder_params(cfg, tau2_floor=1e-12)
+    res = decode(y, design_matrix(cfg, 0), code, encoder, params)
     np.savetxt(args.out, res.bits, fmt="%d")
     print(f"success={res.success} reason={res.termination_reason}; "
           f"wrote {args.out}")

@@ -44,25 +44,17 @@ def hadamard_matrix(q):
 class Schedule:
     """Number of BP rounds N_t to run inside AMP iteration t.
 
-    Kinds: "bp0" (no rounds), "bpn" (N_t = t + 1), "bp1kg" (one round,
-    graph messages retained across AMP iterations), or an explicit list
-    of round counts.
+    Kinds: "bp0" (no rounds), "bpn" (N_t = t + 1), or "bp1kg" (one round,
+    graph messages retained across AMP iterations).
     """
 
     KINDS = ("bp0", "bpn", "bp1kg")
 
-    def __init__(self, kind, explicit=None):
-        if explicit is not None:
-            self.kind = "explicit"
-            self.explicit = [int(x) for x in explicit]
-            if any(x < 0 for x in self.explicit):
-                raise ValueError("round counts must be nonnegative")
-        else:
-            kind = str(kind).lower().replace("-", "").replace("_", "")
-            if kind not in self.KINDS:
-                raise ValueError(f"unknown schedule {kind!r}")
-            self.kind = kind
-            self.explicit = None
+    def __init__(self, kind):
+        kind = str(kind).lower().replace("-", "").replace("_", "")
+        if kind not in self.KINDS:
+            raise ValueError(f"unknown schedule {kind!r}")
+        self.kind = kind
 
     @property
     def keep_graph(self):
@@ -73,13 +65,9 @@ class Schedule:
             return 0
         if self.kind == "bpn":
             return t + 1
-        if self.kind == "bp1kg":
-            return 1
-        return self.explicit[t] if t < len(self.explicit) else self.explicit[-1]
+        return 1
 
     def __repr__(self):
-        if self.kind == "explicit":
-            return f"Schedule(explicit={self.explicit})"
         return f"Schedule({self.kind!r})"
 
 

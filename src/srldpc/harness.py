@@ -11,7 +11,7 @@ are unbiased.
 import json
 import subprocess
 import time
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
@@ -78,8 +78,8 @@ class SimConfig:
             raise ConfigError(str(exc)) from exc
         if not self.ebno_db:
             raise ConfigError("need at least one ebno_db point")
-        if not np.all(np.isfinite(self.ebno_db)):
-            raise ConfigError("ebno_db points must be finite")
+        for ebno in self.ebno_db:
+            _sigma2(self, ebno)
 
     @property
     def rate_overall(self):
@@ -94,16 +94,10 @@ class SimConfig:
         return int(seq.generate_state(1)[0])
 
 
-_CONFIG_TYPES = {
-    "m": int, "L": int, "P": int, "dv": int, "B": int, "n": int,
-    "amp_iters": int, "final_bp_iters": int, "seed": int, "trials": int,
-    "target_errors": int, "schedule": str, "matrix_policy": str,
-    "ebno_db": "float_list",
-}
-
-
 def load_config(path):
-    """Parse a flat key=value config file; unknown keys are errors."""
+    """Parse a flat key=value config file; the keys and their types are
+    SimConfig's fields, and unknown keys are errors."""
+    types = {f.name: f.type for f in fields(SimConfig)}
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -114,18 +108,17 @@ def load_config(path):
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, _, val = line.partition("=")
             key, val = key.strip(), val.strip()
-            if key not in _CONFIG_TYPES:
+            if key not in types:
                 raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
             if key in values:
                 raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            kind = _CONFIG_TYPES[key]
             try:
-                if kind == "float_list":
+                if types[key] is tuple:
                     values[key] = tuple(
                         float(x) for x in val.split(",") if x.strip()
                     )
                 else:
-                    values[key] = kind(val)
+                    values[key] = types[key](val)
             except ValueError as exc:
                 raise ConfigError(f"{path}:{lineno}: bad value for {key}: "
                                   f"{exc}") from exc
@@ -137,11 +130,11 @@ def load_config(path):
 
 def save_config(cfg, path):
     with open(path, "w") as fh:
-        for key in _CONFIG_TYPES:
-            val = getattr(cfg, key)
-            if key == "ebno_db":
+        for f in fields(cfg):
+            val = getattr(cfg, f.name)
+            if f.type is tuple:
                 val = ",".join(f"{x:g}" for x in val)
-            fh.write(f"{key}={val}\n")
+            fh.write(f"{f.name}={val}\n")
 
 
 @dataclass
@@ -165,7 +158,7 @@ class PointResult:
 
 
 def build_experiment(cfg):
-    """Code, encoder, and (for the fixed policy) per-SNR design matrices."""
+    """Code and encoder of a config (with the field they are over)."""
     field = cfg.field()
     try:
         code, encoder = build_code(field, cfg.L, cfg.P, cfg.dv,
@@ -175,8 +168,9 @@ def build_experiment(cfg):
     return field, code, encoder
 
 
-def _matrix_for(cfg, snr_index, trial=None):
-    """Seed of the design matrix at one SNR point (and trial, per_trial)."""
+def design_matrix(cfg, snr_index, trial=None):
+    """Seeded design matrix of one SNR point, and of one trial under
+    matrix_policy=per_trial, which has no matrix without a trial."""
     if cfg.matrix_policy == "fixed":
         key = (STREAM_MATRIX, snr_index)
     elif trial is None:
@@ -185,7 +179,18 @@ def _matrix_for(cfg, snr_index, trial=None):
     else:
         key = (STREAM_MATRIX, snr_index, trial)
     seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=key)
-    return int(seq.generate_state(1)[0])
+    return DesignMatrix(cfg.n, (1 << cfg.m) * cfg.L,
+                        int(seq.generate_state(1)[0]))
+
+
+def decoder_params(cfg, tau2_floor):
+    """The config's decoder settings with the given tau^2 floor."""
+    return DecoderParams(
+        amp_iters=cfg.amp_iters,
+        final_bp_iters=cfg.final_bp_iters,
+        schedule=Schedule(cfg.schedule),
+        tau2_floor=tau2_floor,
+    )
 
 
 def channel_input(encoder, bits, A):
@@ -206,13 +211,19 @@ def trial_observation(cfg, encoder, A, sigma2, snr_index, trial):
     return bits, v, y
 
 
+def decode_trial(cfg, code, encoder, A, sigma2, params, snr_index, trial):
+    """Sent bits, codeword and DecodeResult of one seeded trial; A=None
+    decodes against the trial's own matrix (matrix_policy=per_trial)."""
+    if A is None:
+        A = design_matrix(cfg, snr_index, trial)
+    bits, v, y = trial_observation(cfg, encoder, A, sigma2, snr_index, trial)
+    return bits, v, decode(y, A, code, encoder, params)
+
+
 def run_trial(cfg, code, encoder, A, sigma2, params, snr_index, trial):
     """One end-to-end trial; returns per-trial tallies."""
-    if A is None:
-        A = DesignMatrix(cfg.n, code.field.q * cfg.L,
-                         _matrix_for(cfg, snr_index, trial))
-    bits, v, y = trial_observation(cfg, encoder, A, sigma2, snr_index, trial)
-    res = decode(y, A, code, encoder, params)
+    bits, v, res = decode_trial(cfg, code, encoder, A, sigma2, params,
+                                snr_index, trial)
     bit_errors = int(np.sum(res.bits != bits))
     aborted = res.termination_reason == "non_finite"
     cw_error = bool(np.any(res.symbols != v)) or aborted
@@ -221,11 +232,17 @@ def run_trial(cfg, code, encoder, A, sigma2, params, snr_index, trial):
 
 
 def _sigma2(cfg, ebno_db):
-    """AWGN variance at one Eb/N0 point; a non-finite point is a config
-    error rather than a NaN trajectory."""
-    if not np.isfinite(ebno_db):
-        raise ConfigError(f"Eb/N0 must be finite, got {ebno_db}")
-    return snr_to_sigma2(ebno_db, cfg.B, cfg.L)
+    """AWGN variance at one Eb/N0 point; a point whose variance is not
+    finite and positive (a non-finite point, or one whose power of ten
+    overflows or vanishes) is a config error, not a crash or a NaN row."""
+    try:
+        sigma2 = snr_to_sigma2(ebno_db, cfg.B, cfg.L)
+    except (OverflowError, ZeroDivisionError):
+        sigma2 = np.nan
+    if not (np.isfinite(sigma2) and sigma2 > 0):
+        raise ConfigError(f"Eb/N0 {ebno_db} dB gives no finite positive "
+                          f"noise variance")
+    return sigma2
 
 
 def _claim_output(path):
@@ -247,16 +264,10 @@ def run_point(cfg, ebno_db, snr_index=0, prebuilt=None):
     else:
         _, code, encoder = prebuilt
     sigma2 = _sigma2(cfg, ebno_db)
-    params = DecoderParams(
-        amp_iters=cfg.amp_iters,
-        final_bp_iters=cfg.final_bp_iters,
-        schedule=Schedule(cfg.schedule),
-        tau2_floor=tau2_floor_for(sigma2),
-    )
+    params = decoder_params(cfg, tau2_floor_for(sigma2))
     A = None
     if cfg.matrix_policy == "fixed":
-        A = DesignMatrix(cfg.n, code.field.q * cfg.L,
-                         _matrix_for(cfg, snr_index))
+        A = design_matrix(cfg, snr_index)
 
     t0 = time.perf_counter()
     bit_errors = 0
@@ -389,28 +400,19 @@ def se_vs_truth(cfg, ebno_db, trials, psi=None, out_csv=None):
         raise ConfigError("need at least 20 trials")
     T = cfg.amp_iters
     sigma2 = _sigma2(cfg, ebno_db)
-    field, code, encoder = build_experiment(cfg)
-    params = DecoderParams(
-        amp_iters=T + 1,
-        final_bp_iters=0,
-        schedule=Schedule(cfg.schedule),
-        tau2_floor=tau2_floor_for(sigma2),
-        early_stop=False,
-    )
-    fixed = None
+    _, code, encoder = build_experiment(cfg)
+    params = replace(decoder_params(cfg, tau2_floor_for(sigma2)),
+                     amp_iters=T + 1, final_bp_iters=0, early_stop=False)
+    A = None
     if cfg.matrix_policy == "fixed":
-        fixed = DesignMatrix(cfg.n, field.q * cfg.L, _matrix_for(cfg, 0))
+        A = design_matrix(cfg, 0)
     _claim_output(out_csv)
 
-    def trace(trial):
-        A = fixed
-        if A is None:
-            A = DesignMatrix(cfg.n, field.q * cfg.L,
-                             _matrix_for(cfg, 0, trial))
-        _, _, y = trial_observation(cfg, encoder, A, sigma2, 0, trial)
-        return decode(y, A, code, encoder, params).tau2_trace
-
-    tau2_mc = np.mean(np.stack([trace(t) for t in range(trials)]), axis=0)
+    tau2_mc = np.mean(np.stack([
+        decode_trial(cfg, code, encoder, A, sigma2, params, 0,
+                     trial)[2].tau2_trace
+        for trial in range(trials)
+    ]), axis=0)
 
     se_trace = approximate_se(code, cfg.n, sigma2, T, Schedule(cfg.schedule),
                               psi=psi)

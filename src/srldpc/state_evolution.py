@@ -182,7 +182,7 @@ def approximate_se(code, n, sigma2, T, schedule, psi=None):
                 v2c_l2 = _se_variable_round(psi, tau2, c2v_l2, edge_var, L)
                 c2v_l2 = _se_check_round(q, v2c_l2, check_maps)
         # Output: combine the AMP observation with all check neighbors.
-        inv_sum = _per_var_inv_sum(psi, c2v_l2, edge_var, L)
+        inv_sum = _per_var_inv_sum(_inv_tau2(psi, c2v_l2), edge_var, L)
         tau2_out = 1.0 / (1.0 / tau2 + inv_sum)
         section_mse = 1.0 - np.asarray(psi.value(tau2_out))
         tau2 = sigma2 + section_mse.sum() / n
@@ -196,21 +196,22 @@ def approximate_se(code, n, sigma2, T, schedule, psi=None):
     )
 
 
-def _per_var_inv_sum(psi, c2v_l2, edge_var, L):
-    """Sum over each variable's incoming edges of 1/Psi^{-1}(E||mu||^2)."""
-    if len(c2v_l2) == 0:
-        return np.zeros(L)
+def _inv_tau2(psi, c2v_l2):
+    """Per-edge 1/Psi^{-1}(E||mu||^2); 0 for an exactly-uniform message."""
     with np.errstate(divide="ignore"):
-        inv = 1.0 / np.asarray(psi.inverse(c2v_l2))
+        return 1.0 / np.asarray(psi.inverse(c2v_l2))
+
+
+def _per_var_inv_sum(inv_edge, edge_var, L):
+    """Sum of the per-edge values over each variable's incoming edges."""
     out = np.zeros(L)
-    np.add.at(out, edge_var, inv)
+    np.add.at(out, edge_var, inv_edge)
     return out
 
 
 def _se_variable_round(psi, tau2, c2v_l2, edge_var, L):
-    inv_sum = _per_var_inv_sum(psi, c2v_l2, edge_var, L)
-    with np.errstate(divide="ignore"):
-        inv_edge = 1.0 / np.asarray(psi.inverse(c2v_l2))
+    inv_edge = _inv_tau2(psi, c2v_l2)
+    inv_sum = _per_var_inv_sum(inv_edge, edge_var, L)
     tilde = 1.0 / (1.0 / tau2 + inv_sum[edge_var] - inv_edge)
     return np.asarray(psi.value(tilde))
 

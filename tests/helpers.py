@@ -81,15 +81,16 @@ def exhaustive_posteriors(code, r, tau2):
 
 def fd_divergence(code, r, tau2, rounds, h=1e-5):
     """Central-difference divergence of the BP denoiser at r."""
-    den = BpDenoiser(code, Schedule(None, explicit=[rounds]))
+    # bpn runs t + 1 rounds at iteration t
+    den = BpDenoiser(code, Schedule("bpn"))
     total = 0.0
     for i in range(r.size):
         rp = r.copy()
         rp[i] += h
-        sp = den.denoise(rp, tau2, 0)[i]
+        sp = den.denoise(rp, tau2, rounds - 1)[i]
         rm = r.copy()
         rm[i] -= h
-        sm = den.denoise(rm, tau2, 0)[i]
+        sm = den.denoise(rm, tau2, rounds - 1)[i]
         total += (sp - sm) / (2 * h)
     return total
 

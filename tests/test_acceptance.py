@@ -23,7 +23,8 @@ from srldpc.codec import (
 )
 from srldpc.denoiser import BpDenoiser, Schedule, divergence_terms
 from srldpc.gf import GF2m, fq_convolve
-from srldpc.harness import SimConfig, _matrix_for, run_trial, se_vs_truth
+from srldpc import harness
+from srldpc.harness import SimConfig, run_trial, se_vs_truth
 from srldpc.ldpc import LdpcCode, bits_to_symbols, build_code, syndrome_check
 from srldpc.state_evolution import best_candidate, get_psi, tune_rate
 
@@ -102,7 +103,7 @@ def test_c2_onsager_finite_difference():
     for state in range(5):
         tau2 = float(rng.uniform(0.25, 0.6))
         r = rng.standard_normal(L * q) * rng.uniform(0.5, 1.0)
-        den = BpDenoiser(code, Schedule(None, explicit=[1]))
+        den = BpDenoiser(code, Schedule("bpn"))
         s_hat = den.denoise(r, tau2, 0)
         l1, l2sq = divergence_terms(s_hat)
         closed = (l1 - l2sq) / (n * tau2)
@@ -267,48 +268,42 @@ def test_c7_se_vs_truth(psi16):
 # 8. waterfall shape and schedule ordering
 # ---------------------------------------------------------------------------
 
-def _sweep_collect(schedule):
-    """Desk-scale sweep collecting per-trial bit errors, mirroring the
-    harness stopping rule (50 codeword errors or 2000 trials)."""
+def _sweep_collect(schedule, monkeypatch):
+    """Desk-scale harness.sweep (50 codeword errors or 2000 trials per
+    point) with the per-trial bit errors recorded for standard errors."""
     cfg = SimConfig(ebno_db=SWEEP_GRID, schedule=schedule, seed=1,
                     trials=2000, target_errors=50)
-    field = cfg.field()
-    code, encoder = build_code(field, cfg.L, cfg.P, cfg.dv, cfg.label_seed())
+    bit_errors = {i: [] for i in range(len(cfg.ebno_db))}
+
+    def recording_trial(cfg, code, encoder, A, sigma2, params, snr_index,
+                        trial):
+        out = run_trial(cfg, code, encoder, A, sigma2, params, snr_index,
+                        trial)
+        bit_errors[snr_index].append(out[0])
+        return out
+
+    monkeypatch.setattr(harness, "run_trial", recording_trial)
+    rows = harness.sweep(cfg)
 
     points = []
-    for snr_index, ebno in enumerate(cfg.ebno_db):
-        sigma2 = snr_to_sigma2(ebno, cfg.B, cfg.L)
-        params = DecoderParams(
-            amp_iters=cfg.amp_iters, final_bp_iters=cfg.final_bp_iters,
-            schedule=Schedule(cfg.schedule),
-            tau2_floor=tau2_floor_for(sigma2),
-        )
-        A = DesignMatrix(cfg.n, field.q * cfg.L, _matrix_for(cfg, snr_index))
-        bite = []
-        cwe = 0
-        for trial in range(cfg.trials):
-            be, cw, _, _, _ = run_trial(cfg, code, encoder, A, sigma2,
-                                        params, snr_index, trial)
-            bite.append(be)
-            cwe += int(cw)
-            if cwe >= cfg.target_errors:
-                break
-        bite = np.asarray(bite, dtype=np.float64)
+    for i, row in enumerate(rows):
+        bite = np.asarray(bit_errors[i], dtype=np.float64)
+        assert len(bite) == row.trials
         points.append({
-            "ebno": ebno,
-            "trials": len(bite),
-            "bit_errors": int(bite.sum()),
+            "ebno": row.ebno_db,
+            "trials": row.trials,
+            "bit_errors": row.bit_errors,
             "ber": bite.mean() / cfg.B,
             "ber_sem": bite.std(ddof=1) / np.sqrt(len(bite)) / cfg.B,
-            "cwe": cwe,
+            "cwe": row.codeword_errors,
         })
     return points
 
 
 @criterion(8, "waterfall monotonicity and schedule ordering")
-def test_c8_waterfall_and_schedules():
+def test_c8_waterfall_and_schedules(monkeypatch):
     t0 = time.perf_counter()
-    res = {s: _sweep_collect(s) for s in ("bpn", "bp0", "bp1kg")}
+    res = {s: _sweep_collect(s, monkeypatch) for s in ("bpn", "bp0", "bp1kg")}
 
     # (a) BP-N BER non-increasing beyond 2 combined standard errors
     bpn = res["bpn"]
@@ -402,7 +397,7 @@ def test_c10_cycle_free_exactness():
     assert code.girth == float("inf")
     r = rng.standard_normal(4 * q) + 0.3
     tau2 = 0.6
-    den = BpDenoiser(code, Schedule(None, explicit=[2]))
-    out = den.denoise(r, tau2, t=0).reshape(4, q)
+    den = BpDenoiser(code, Schedule("bpn"))
+    out = den.denoise(r, tau2, t=1).reshape(4, q)
     exact = exhaustive_posteriors(code, r, tau2)
     assert np.abs(out - exact).max() < 1e-9

@@ -70,7 +70,7 @@ def test_onsager_matches_finite_difference_one_round():
     tau2 = 0.4
     for _ in range(2):
         r = rng.standard_normal(L * q) * 0.6
-        den = BpDenoiser(code, Schedule(None, explicit=[1]))
+        den = BpDenoiser(code, Schedule("bpn"))
         s_hat = den.denoise(r, tau2, 0)
         l1, l2sq = divergence_terms(s_hat)
         closed = (l1 - l2sq) / tau2

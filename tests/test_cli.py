@@ -215,7 +215,8 @@ def test_seed_override_changes_results(tmp_path, cfg_path):
     assert t1 != t2
 
 
-@pytest.mark.parametrize("ebno", ["nan", "inf"])
+# 4000 dB is finite, but 10 ** (Eb/N0 / 10) overflows inside sigma^2
+@pytest.mark.parametrize("ebno", ["nan", "inf", "4000"])
 def test_simulate_non_finite_ebno_exit_1(tmp_path, ebno):
     path = tmp_path / "cfg.txt"
     save_config(SimConfig(**SMALL), path)
@@ -229,6 +230,8 @@ def test_simulate_non_finite_ebno_exit_1(tmp_path, ebno):
 @pytest.mark.parametrize("argv", [
     ["se", "--ebno", "nan"],
     ["se-vs-truth", "--ebno", "inf", "--trials", "20"],
+    ["se", "--ebno", "4000"],
+    ["se", "--ebno=-4000"],
 ])
 def test_se_non_finite_ebno_exit_1(tmp_path, cfg_path, argv, capsys):
     out = tmp_path / "out.csv"

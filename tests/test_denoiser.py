@@ -241,8 +241,8 @@ def test_vectorized_rounds_match_reference_updates(small_code):
     r = rng.standard_normal(code.L * q)
     tau2 = 0.5
 
-    den = BpDenoiser(code, Schedule(None, explicit=[2]))
-    den.denoise(r, tau2, t=0)
+    den = BpDenoiser(code, Schedule("bpn"))
+    den.denoise(r, tau2, t=1)
 
     def product(alpha_l, msgs):
         out = alpha_l * np.prod(msgs, axis=0)
@@ -338,8 +338,8 @@ def test_cycle_free_code_exact_posteriors():
     assert code.girth == float("inf")
     r = rng.standard_normal(4 * q) + 0.3
     tau2 = 0.6
-    den = BpDenoiser(code, Schedule(None, explicit=[2]))
-    out = den.denoise(r, tau2, t=0).reshape(4, q)
+    den = BpDenoiser(code, Schedule("bpn"))
+    out = den.denoise(r, tau2, t=1).reshape(4, q)
     exact = exhaustive_posteriors(code, r, tau2)
     assert np.abs(out - exact).max() < 1e-9
 
@@ -365,11 +365,11 @@ def test_sub_girth_diagnostic(small_code):
     q = small_code.field.q
     r = rng.standard_normal(small_code.L * q)
     half_girth = int(small_code.girth // 2)
-    den = BpDenoiser(small_code, Schedule(None, explicit=[half_girth + 1]))
-    den.denoise(r, 0.4, t=0)
+    den = BpDenoiser(small_code, Schedule("bpn"))
+    den.denoise(r, 0.4, t=half_girth)
     assert den.metadata()["sub_girth_violations"] == 1
-    ok = BpDenoiser(small_code, Schedule(None, explicit=[half_girth]))
-    ok.denoise(r, 0.4, t=0)
+    ok = BpDenoiser(small_code, Schedule("bpn"))
+    ok.denoise(r, 0.4, t=half_girth - 1)
     assert ok.metadata()["sub_girth_violations"] == 0
 
 
@@ -378,9 +378,5 @@ def test_schedule_kinds():
     assert Schedule("bpn").rounds(5) == 6
     assert Schedule("BP-1-KG").rounds(5) == 1
     assert Schedule("bp1kg").keep_graph
-    assert Schedule(None, explicit=[0, 2, 4]).rounds(1) == 2
-    assert Schedule(None, explicit=[0, 2, 4]).rounds(9) == 4
     with pytest.raises(ValueError):
         Schedule("nope")
-    with pytest.raises(ValueError):
-        Schedule(None, explicit=[-1])

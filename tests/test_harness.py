@@ -3,7 +3,7 @@ import json
 import pytest
 
 from srldpc.harness import (
-    ConfigError, SimConfig, _matrix_for, build_experiment, load_config,
+    ConfigError, SimConfig, build_experiment, design_matrix, load_config,
     rate_sweep, run_point, save_config,
     se_predict, se_vs_truth, sweep, write_rate_csv,
     write_se_csv, write_se_vs_truth_csv, RESULTS_HEADER,
@@ -139,10 +139,10 @@ def test_run_point_desk_outcomes_pinned(schedule, expected):
 def test_matrix_for_per_trial_needs_trial():
     cfg = SimConfig(**{**SMALL, "matrix_policy": "per_trial"})
     with pytest.raises(ConfigError, match="per_trial"):
-        _matrix_for(cfg, 0)
-    assert _matrix_for(cfg, 0, 3) != _matrix_for(cfg, 0, 4)
+        design_matrix(cfg, 0)
+    assert design_matrix(cfg, 0, 3).seed != design_matrix(cfg, 0, 4).seed
     fixed = SimConfig(**SMALL)
-    assert _matrix_for(fixed, 0) == _matrix_for(fixed, 0, 3)
+    assert design_matrix(fixed, 0).seed == design_matrix(fixed, 0, 3).seed
 
 
 @pytest.mark.parametrize("overrides", [
