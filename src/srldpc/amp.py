@@ -13,6 +13,15 @@ new residual as ||z||^2 / n (floored away from zero).  The Onsager
 coefficient is the closed form of the denoiser divergence, valid while
 BP computation trees stay cycle-free; it vanishes exactly when the
 denoiser output is one-hot.
+
+decode_batch runs K trials in lockstep through one AMP loop and one
+BpDenoiser: the AMP state holds one row per trial, A s and A^T z stay
+one float32 matrix-vector product per trial, and the denoiser runs each
+BP round once for the whole batch.  Every trial keeps its own tau^2,
+Onsager carry, early stop, termination reason, final-BP tail and
+denoiser counters; a trial that stops is compacted out of the batch.
+Each trial's result is bitwise the result of decoding it alone, which
+decode does (a batch of one).
 """
 
 from dataclasses import dataclass, field
@@ -36,10 +45,13 @@ def tau2_floor_for(sigma2):
 
 
 def onsager(z_prev, l1, l2sq, tau2, n):
-    """Onsager correction z_prev * (||s||_1 - ||s||_2^2) / (n tau^2)."""
-    if tau2 <= 0 or n <= 0:
+    """Onsager correction z_prev * (||s||_1 - ||s||_2^2) / (n tau^2); with
+    a (trials, n) stack, l1, l2sq and tau2 hold one value per row."""
+    tau2 = np.asarray(tau2)
+    if np.any(tau2 <= 0) or n <= 0:
         raise ValueError("tau2 and n must be positive")
-    return np.asarray(z_prev) * ((l1 - l2sq) / (n * tau2))
+    coef = (np.asarray(l1) - l2sq) / (n * tau2)
+    return np.asarray(z_prev) * coef[..., None]
 
 
 @dataclass
@@ -53,35 +65,47 @@ class DecoderParams:
 
 @dataclass
 class AmpState:
-    """Working set of the AMP recursion between iterations."""
+    """Working set of the AMP recursion between iterations, one row (or
+    entry) per trial."""
 
     z: np.ndarray
     r: np.ndarray
     s_hat: np.ndarray
-    tau2: float
+    tau2: np.ndarray
     t: int
-    carry_l1: float
-    carry_l2sq: float
+    carry_l1: np.ndarray
+    carry_l2sq: np.ndarray
+
+    def take(self, keep):
+        """The state of the trials at positions keep."""
+        return AmpState(
+            z=self.z[keep], r=self.r[keep], s_hat=self.s_hat[keep],
+            tau2=self.tau2[keep], t=self.t, carry_l1=self.carry_l1[keep],
+            carry_l2sq=self.carry_l2sq[keep],
+        )
 
 
-def initial_state(y, n_cols):
-    """State before iteration 0: s = r = 0, residual defined as y."""
-    y = np.asarray(y, dtype=np.float64)
-    zero = np.zeros(n_cols)
+def initial_state(Y, n_cols):
+    """State before iteration 0 for the (trials, n) observations Y:
+    s = r = 0, residual defined as y."""
+    Y = np.asarray(Y, dtype=np.float64)
+    zero = np.zeros((len(Y), n_cols))
     # tau2 placeholder is never used at t=0 because the carry is zero.
     return AmpState(
-        z=np.zeros_like(y), r=zero.copy(), s_hat=zero, tau2=1.0,
-        t=0, carry_l1=0.0, carry_l2sq=0.0,
+        z=np.zeros_like(Y), r=zero.copy(), s_hat=zero, tau2=np.ones(len(Y)),
+        t=0, carry_l1=np.zeros(len(Y)), carry_l2sq=np.zeros(len(Y)),
     )
 
 
-def amp_step(state, y, A, den, tau2_floor=1e-12):
-    """Advance the recursion by one iteration using denoiser den."""
-    z = y - A.matvec(state.s_hat) + onsager(
-        state.z, state.carry_l1, state.carry_l2sq, state.tau2, A.n
-    )
-    tau2 = estimate_tau2(z, A.n, tau2_floor)
-    r = A.rmatvec(z) + state.s_hat
+def amp_step(state, Y, As, den, tau2_floor=1e-12):
+    """Advance the recursion by one iteration for every trial: row k of
+    Y is observed through As[k]; den denoises all rows at once."""
+    n = As[0].n
+    z = np.stack([
+        y - A.matvec(s) for y, A, s in zip(Y, As, state.s_hat)
+    ]) + onsager(state.z, state.carry_l1, state.carry_l2sq, state.tau2, n)
+    tau2 = np.array([estimate_tau2(row, n, tau2_floor) for row in z])
+    r = np.stack([A.rmatvec(row) for A, row in zip(As, z)]) + state.s_hat
     s_hat = den.denoise(r, tau2, state.t)
     l1, l2sq = divergence_terms(s_hat)
     return AmpState(
@@ -103,70 +127,89 @@ class DecodeResult:
 
 
 def decode(y, A, code, encoder, params):
-    """Full decode: AMP iterations, then standalone BP on the last
-    posteriors, with syndrome-based early termination in both phases."""
-    q = code.field.q
+    """Full decode of one observation: decode_batch on a batch of one."""
     y = np.asarray(y, dtype=np.float64)
-    den = BpDenoiser(code, params.schedule)
-    state = initial_state(y, A.n_cols)
+    return decode_batch(y[None], [A], code, encoder, params)[0]
 
-    tau2_trace = []
-    symbols = np.zeros(code.L, dtype=np.int64)
-    success = False
-    reason = "exhausted"
-    iterations = 0
-    bp_rounds = 0
+
+def decode_batch(Y, As, code, encoder, params):
+    """Full decode of each row of Y (trials, n) against its design matrix
+    As[k]: AMP iterations, then standalone BP on the last posteriors,
+    with syndrome-based early termination in both phases.  Returns one
+    DecodeResult per row, each equal to that row decoded alone."""
+    if params.amp_iters < 1:
+        raise ValueError("amp_iters must be positive")
+    q = code.field.q
+    Y = np.asarray(Y, dtype=np.float64)
+    As = list(As)
+    den = BpDenoiser(code, params.schedule)
+    state = initial_state(Y, As[0].n_cols)
+    results = [None] * len(Y)
+    rows = np.arange(len(Y))   # the row of Y behind each batch position
+    trace = np.empty((params.amp_iters, len(Y)))
+
+    def finish(i, symbols, success, bp_rounds, reason):
+        """Record the result of batch position i."""
+        bits = symbols_to_bits(symbols[encoder.message_positions],
+                               code.field.m)
+        results[rows[i]] = DecodeResult(
+            bits=bits, symbols=symbols.copy(), success=success,
+            iterations_used=state.t, final_bp_rounds=bp_rounds,
+            tau2_trace=trace[: state.t, rows[i]].copy(),
+            termination_reason=reason, denoiser_metadata=den.metadata()[i],
+        )
+
+    def compact(done):
+        """Drop the finished positions from every per-trial array."""
+        nonlocal state, rows, Y, As, symbols
+        keep = np.flatnonzero(~done)
+        state = state.take(keep)
+        den.compact(keep)
+        rows, Y, symbols = rows[keep], Y[keep], symbols[keep]
+        As = [As[i] for i in keep]
 
     for _ in range(params.amp_iters):
-        state = amp_step(state, y, A, den, params.tau2_floor)
-        iterations = state.t
-        tau2_trace.append(state.tau2)
-        if not (np.all(np.isfinite(state.z)) and np.all(np.isfinite(state.s_hat))):
-            return _failure(code, encoder, tau2_trace, iterations, den,
-                            "non_finite")
-        symbols = hard_decision(state.s_hat, q)
-        if params.early_stop and syndrome_check(code, symbols):
-            success = True
-            reason = "amp_syndrome"
-            break
+        state = amp_step(state, Y, As, den, params.tau2_floor)
+        trace[state.t - 1, rows] = state.tau2
+        finite = (np.isfinite(state.z).all(axis=1)
+                  & np.isfinite(state.s_hat).all(axis=1))
+        symbols = hard_decision(state.s_hat, q).reshape(len(rows), code.L)
+        done = ~finite
+        for i in np.flatnonzero(done):
+            finish(i, np.zeros(code.L, dtype=np.int64), False, 0,
+                   "non_finite")
+        if params.early_stop:
+            for i in np.flatnonzero(finite):
+                if syndrome_check(code, symbols[i]):
+                    finish(i, symbols[i], True, 0, "amp_syndrome")
+                    done[i] = True
+        if done.any():
+            compact(done)
+        if not len(rows):
+            return results
 
-    if not success and params.final_bp_iters > 0 and den.alpha is not None:
+    bp_rounds = 0
+    if params.final_bp_iters > 0:
         den.reset_messages()
         for j in range(params.final_bp_iters):
             den.bp_round()
             bp_rounds = j + 1
-            est = den.estimate()
-            symbols = hard_decision(est, q)
-            if params.early_stop and syndrome_check(code, symbols):
-                success = True
-                reason = "final_bp_syndrome"
-                break
+            symbols = np.argmax(den.estimate(), axis=-1).T
+            if not params.early_stop:
+                continue
+            done = np.zeros(len(rows), dtype=bool)
+            for i in range(len(rows)):
+                if syndrome_check(code, symbols[i]):
+                    finish(i, symbols[i], True, bp_rounds,
+                           "final_bp_syndrome")
+                    done[i] = True
+            if done.any():
+                compact(done)
+            if not len(rows):
+                return results
 
-    if not success:
-        success = syndrome_check(code, symbols)
-        if success:
-            reason = "exhausted_valid"
-
-    msg_symbols = symbols[encoder.message_positions]
-    bits = symbols_to_bits(msg_symbols, code.field.m)
-    return DecodeResult(
-        bits=bits,
-        symbols=symbols,
-        success=success,
-        iterations_used=iterations,
-        final_bp_rounds=bp_rounds,
-        tau2_trace=np.asarray(tau2_trace),
-        termination_reason=reason,
-        denoiser_metadata=den.metadata(),
-    )
-
-
-def _failure(code, encoder, tau2_trace, iterations, den, reason):
-    symbols = np.zeros(code.L, dtype=np.int64)
-    bits = symbols_to_bits(symbols[encoder.message_positions], code.field.m)
-    return DecodeResult(
-        bits=bits, symbols=symbols, success=False,
-        iterations_used=iterations, final_bp_rounds=0,
-        tau2_trace=np.asarray(tau2_trace), termination_reason=reason,
-        denoiser_metadata=den.metadata(),
-    )
+    for i in range(len(rows)):
+        success = syndrome_check(code, symbols[i])
+        finish(i, symbols[i], success, bp_rounds,
+               "exhausted_valid" if success else "exhausted")
+    return results

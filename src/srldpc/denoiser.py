@@ -14,13 +14,20 @@ the edge order of the code object.  All stored messages are probability
 vectors; entries are floored at 1e-30 after normalization so hard zeros
 cannot annihilate later Hadamard products.
 
-Each round gathers messages slot-major: the padded adjacency is stored
-as (slots, nodes), so a gather yields a contiguous (slots, nodes, q)
-stack and the exclusive product runs over whole (nodes, q) slices, one
-slot at a time.  Padded slots point at a neutral all-ones row.  Label
+One denoiser decodes K trials in lockstep.  Messages are held as
+(edges, trials, q) and local posteriors as (sections, trials, q), so
+every step of a round runs once for all K trials.  Each round gathers
+messages slot-major: the padded adjacency is stored as (slots, nodes),
+so a gather yields a contiguous (slots, nodes, trials, q) stack and the
+exclusive product runs over whole (nodes, trials, q) slices, one slot at
+a time.  Padded slots point at a neutral all-ones row.  Label
 permutations are flat integer gathers: one map absorbs the labels into
 v2c, and one map sends the check outputs back to edge order and
-reapplies the labels.
+reapplies the labels; both depend on K and are rebuilt when it changes.
+The two Hadamard products see the (edges * trials, q) rows as one
+matrix.  Every entry goes through the same floating-point operations as
+in a one-trial denoiser, so a trial's results do not depend on the
+trials batched with it.  compact() drops finished trials from the batch.
 """
 
 import math
@@ -75,9 +82,10 @@ def local_posterior(r_section, tau2):
     """Per-section posterior over field elements given effective noise tau2.
 
     alpha(g) = exp(r(g)/tau2) / sum_h exp(r(h)/tau2), evaluated with max
-    subtraction.  Accepts a single section or a stack of sections.
+    subtraction.  Accepts a single section or a stack of sections; tau2
+    broadcasts against the stack.
     """
-    if tau2 <= 0:
+    if np.any(np.asarray(tau2) <= 0):
         raise ValueError("tau2 must be positive")
     r = np.atleast_2d(np.asarray(r_section, dtype=np.float64))
     z = (r - r.max(axis=-1, keepdims=True)) / tau2
@@ -86,22 +94,25 @@ def local_posterior(r_section, tau2):
 
 
 def divergence_terms(s_hat):
-    """(||s||_1, ||s||_2^2) of a state estimate, for the Onsager term."""
+    """(||s||_1, ||s||_2^2) of a state estimate, for the Onsager term;
+    one pair of arrays over the rows of a (trials, qL) stack."""
     s_hat = np.asarray(s_hat)
-    return float(s_hat.sum()), float(np.square(s_hat).sum())
+    return s_hat.sum(axis=-1), np.square(s_hat).sum(axis=-1)
 
 
 def _normalize_rows(mat):
-    """Normalize the rows of a 2-D array to probability vectors.
+    """Normalize the rows (last axis) of an array to probability vectors.
 
     Rows whose total is zero or not finite fall back to uniform; every
     entry is then floored at MSG_FLOOR and the rows renormalized.
-    Returns (normalized copy, number of rows that fell back).
+    Returns (normalized copy, fallback rows counted along axis 0): an
+    int for a 2-D array, one count per trial for (nodes, trials, q).
     """
     totals = mat.sum(axis=-1, keepdims=True)
-    bad = ~np.isfinite(totals[:, 0]) | (totals[:, 0] <= 0.0)
-    n_bad = int(bad.sum())
-    if n_bad:
+    bad = ~np.isfinite(totals[..., 0]) | (totals[..., 0] <= 0.0)
+    n_bad = 0
+    if bad.any():
+        n_bad = bad.sum(axis=0)
         mat = mat.copy()
         mat[bad] = 1.0 / mat.shape[-1]
         totals = mat.sum(axis=-1, keepdims=True)
@@ -115,8 +126,13 @@ class BpDenoiser:
     """Stateful BP denoiser bound to one code and one schedule.
 
     Holds the per-edge message arrays between calls so the keep-graph
-    schedule can retain them across AMP iterations.  One instance serves
-    one decode at a time; separate decodes need separate instances.
+    schedule can retain them across AMP iterations.  The observation
+    passed to init_alpha/denoise sets the batch: a flat (qL,) vector is
+    one trial, and then alpha, v2c, c2v, estimate(), underflow_events
+    and metadata() drop the trial axis; a (K, qL) stack with K values of
+    tau2 is K trials, held as (nodes, K, q).  A new batch size starts
+    fresh messages and counters.  One instance serves one decode (or
+    batch) at a time; separate decodes need separate instances.
     """
 
     def __init__(self, code, schedule):
@@ -124,70 +140,127 @@ class BpDenoiser:
         self.field = code.field
         self.schedule = schedule
 
-        q = self.field.q
         E = code.n_edges
-        self._H = hadamard_matrix(q)
+        self._H = hadamard_matrix(self.field.q)
 
         # Slot-major padded gather maps (slots, nodes); the dummy edge id
         # E points at a neutral row (uniform message, all-ones spectrum).
-        # A gather through them yields a (slots, nodes, q) stack whose
-        # flat row of each edge is recorded once here.
+        # A gather through them yields a (slots, nodes, trials, q) stack
+        # whose flat (slot, node) row of each edge is recorded once here.
         self._var_pad, rows, ids = _slot_major(code.var_edges, E)
         self._var_sel = np.empty(E, dtype=np.intp)
         self._var_sel[ids] = rows
         # check rows stay in (check, slot) order for the inverse transform
         self._chk_pad, self._chk_sel, ids = _slot_major(code.chk_edges, E)
-        unorder = np.empty(E, dtype=np.intp)
-        unorder[ids] = np.arange(E)
+        self._unorder = np.empty(E, dtype=np.intp)
+        self._unorder[ids] = np.arange(E)
         mul = self.field.mul_table
         labels = code.edge_label
+        # Flat label maps of one trial; _resize widens them to K trials.
         # absorbed[e, g] = v2c[e, g * inv(label_e)], as a flat index
-        self._absorb = (np.arange(E)[:, None] * q
-                        + mul[:, self.field.inv(labels)].T)
+        self._absorb1 = (np.arange(E)[:, None] * self.field.q
+                         + mul[:, self.field.inv(labels)].T)
         # c2v[e, g] = conv[unorder[e], g * label_e], as a flat index
-        self._relabel = unorder[:, None] * q + mul[:, labels].T
+        self._relabel1 = (self._unorder[:, None] * self.field.q
+                          + mul[:, labels].T)
 
+        self._alpha = None
+        self._single = True
+        self._resize(1)
+
+    def _resize(self, trials):
+        """Fresh messages, counters and gather maps for a batch size."""
+        E, q = self.code.n_edges, self.field.q
+        self.trials = trials
+        self._absorb = _widen(self._absorb1, np.arange(E), trials, q)
+        self._relabel = _widen(self._relabel1, self._unorder, trials, q)
         # c2v rows live inside a padded buffer whose last row is the
         # neutral all-ones row, so gathers need no stacking per round.
-        self._c2v_pad = np.empty((E + 1, q))
-        self._spectra_pad = np.empty((E + 1, q))
+        self._c2v_pad = np.empty((E + 1, trials, q))
+        self._spectra_pad = np.empty((E + 1, trials, q))
         self._spectra_pad[E] = 1.0
-
-        self.alpha = None
-        self.underflow_events = 0
-        self.sub_girth_violations = 0
+        self._underflow = np.zeros(trials, dtype=np.int64)
+        self._sub_girth = np.zeros(trials, dtype=np.int64)
         self.reset_messages()
+
+    def compact(self, keep):
+        """Keep only the trials at positions keep (ascending) of the batch,
+        with their messages, local posteriors and counters."""
+        c2v = self._c2v_pad.take(keep, axis=1)
+        v2c = self._v2c.take(keep, axis=1)
+        underflow, sub_girth = self._underflow[keep], self._sub_girth[keep]
+        alpha = self._alpha
+        if alpha is not None:
+            alpha = alpha.take(keep, axis=1)
+        self._resize(len(keep))
+        self._c2v_pad, self._v2c = c2v, v2c
+        self._underflow, self._sub_girth = underflow, sub_girth
+        self._alpha = alpha
+
+    def _view(self, a):
+        """a with the trial axis (axis 1) dropped for a single trial."""
+        return a[:, 0] if self._single and a is not None else a
+
+    @property
+    def alpha(self):
+        return self._view(self._alpha)
+
+    @alpha.setter
+    def alpha(self, value):
+        """Load local posteriors: (L, q) for one trial, (L, K, q) for K."""
+        value = np.asarray(value, dtype=np.float64)
+        single = value.ndim == 2
+        self._load(value[:, None] if single else value, single)
+
+    def _load(self, alpha, single):
+        if alpha.shape[1] != self.trials:
+            self._resize(alpha.shape[1])
+        self._alpha = np.ascontiguousarray(alpha)
+        self._single = single
+
+    @property
+    def v2c(self):
+        return self._view(self._v2c)
 
     @property
     def c2v(self):
-        return self._c2v_pad[: self.code.n_edges]
+        return self._view(self._c2v_pad[: self.code.n_edges])
+
+    @property
+    def underflow_events(self):
+        return int(self._underflow[0]) if self._single else self._underflow
 
     def reset_messages(self):
         q = self.field.q
         E = self.code.n_edges
-        self.v2c = np.full((E, q), 1.0 / q)
+        self._v2c = np.full((E, self.trials, q), 1.0 / q)
         self._c2v_pad[:E] = 1.0 / q
         self._c2v_pad[E] = 1.0
 
     def init_alpha(self, r, tau2):
-        """Compute and store the local posteriors from a flat observation."""
-        self.alpha = local_posterior(
-            np.asarray(r, dtype=np.float64).reshape(self.code.L, self.field.q),
-            tau2,
-        )
+        """Compute and store the local posteriors from a flat observation
+        (qL,) and its tau2, or from a (K, qL) stack and K values of tau2."""
+        r = np.asarray(r, dtype=np.float64)
+        post = local_posterior(r.reshape(-1, self.code.L, self.field.q),
+                               np.reshape(tau2, (-1, 1, 1)))
+        self._load(post.transpose(1, 0, 2), r.ndim == 1)
 
     def denoise(self, r, tau2, t):
-        """One denoiser evaluation at AMP iteration t; returns flat (qL,)."""
+        """One denoiser evaluation at AMP iteration t; returns the
+        posterior in the shape of r: flat (qL,) or (K, qL)."""
         self.init_alpha(r, tau2)
         if not self.schedule.keep_graph:
             self.reset_messages()
         rounds = self.schedule.rounds(t)
         girth = self.code.girth
         if not math.isinf(girth) and rounds > girth // 2:
-            self.sub_girth_violations += 1
+            self._sub_girth += 1
         for _ in range(rounds):
             self.bp_round()
-        return self.estimate().ravel()
+        est = self._estimate()
+        if self._single:
+            return est.ravel()
+        return est.transpose(1, 0, 2).reshape(self.trials, -1)
 
     def bp_round(self):
         """One flooding round: all variable updates, then all check updates."""
@@ -198,43 +271,50 @@ class BpDenoiser:
         if self.code.n_edges == 0:
             return
         excl = _excl_prod(self._c2v_pad[self._var_pad])
-        excl *= self.alpha
-        msgs = excl.reshape(-1, self.field.q)[self._var_sel]
-        self.v2c = self._renorm(msgs)
+        excl *= self._alpha
+        msgs = excl.reshape(-1, self.trials, self.field.q)[self._var_sel]
+        self._v2c = self._renorm(msgs)
 
     def _check_round(self):
         E = self.code.n_edges
         if E == 0:
             return
-        q = self.field.q
-        np.matmul(self.v2c.take(self._absorb), self._H,
-                  out=self._spectra_pad[:E])
+        q, trials = self.field.q, self.trials
+        np.matmul(self._v2c.take(self._absorb).reshape(-1, q), self._H,
+                  out=self._spectra_pad[:E].reshape(-1, q))
         excl = _excl_prod(self._spectra_pad[self._chk_pad])
-        conv = excl.reshape(-1, q)[self._chk_sel] @ self._H
+        conv = excl.reshape(-1, trials, q)[self._chk_sel].reshape(-1, q)
+        conv = conv @ self._H
         conv *= 1.0 / q
         np.maximum(conv, 0.0, out=conv)
         self._c2v_pad[:E] = self._renorm(conv.take(self._relabel))
 
     def estimate(self):
-        """Per-section posterior (L, q) including the local observation."""
-        if self.alpha is None:
+        """Per-section posterior (L, q), or (L, K, q) for a batch,
+        including the local observation."""
+        return self._view(self._estimate())
+
+    def _estimate(self):
+        if self._alpha is None:
             raise RuntimeError("init_alpha must run before estimate")
         if self.code.n_edges == 0:
-            prod = np.ones_like(self.alpha)
+            prod = np.ones_like(self._alpha)
         else:
             prod = self._c2v_pad[self._var_pad].prod(axis=0)
-        return self._renorm(prod * self.alpha)
+        return self._renorm(prod * self._alpha)
 
     def _renorm(self, mat):
         out, n_bad = _normalize_rows(mat)
-        self.underflow_events += n_bad
+        self._underflow += n_bad
         return out
 
     def metadata(self):
-        return {
-            "underflow_events": self.underflow_events,
-            "sub_girth_violations": self.sub_girth_violations,
-        }
+        """Counters of the trial, or a list with one dict per trial."""
+        per_trial = [
+            {"underflow_events": int(u), "sub_girth_violations": int(s)}
+            for u, s in zip(self._underflow, self._sub_girth)
+        ]
+        return per_trial[0] if self._single else per_trial
 
 
 def _pad_adjacency(edge_lists, dummy):
@@ -262,14 +342,25 @@ def _slot_major(edge_lists, dummy):
     return np.ascontiguousarray(pad.T), rows, pad[mask]
 
 
+def _widen(flat, rows, trials, q):
+    """Flat indices into a (rows, trials, q) array from the flat indices
+    row * q + g of one trial: row r moves to r * trials * q and trial k
+    adds k * q.  They stay intp, so take() needs no cast."""
+    if trials == 1:
+        return flat[:, None, :]
+    shift = (rows * ((trials - 1) * q))[:, None, None]
+    return (flat[:, None, :] + shift
+            + (np.arange(trials) * q)[:, None]).astype(np.intp, copy=False)
+
+
 def _excl_prod(a):
     """Per-slot products along axis 0 excluding the slot itself.
 
     Prefix products run left to right and suffix products right to left,
-    the association np.cumprod uses.  A loop over contiguous (nodes, q)
-    slices beats a cumprod that strides across slots; state evolution's
-    scalar (checks, slots) products keep the cumprod, which is contiguous
-    there.
+    the association np.cumprod uses.  A loop over contiguous per-slot
+    (nodes, trials, q) slices beats a cumprod that strides across slots;
+    state evolution's scalar (checks, slots) products keep the cumprod,
+    which is contiguous there.
     """
     out = np.empty_like(a)
     out[0] = 1.0

@@ -6,6 +6,14 @@ the config: codes, matrices, payload bits, and noise all draw from
 dedicated (seed, stream, ...) substreams.  Early stopping processes
 trials in index order and keeps every completed trial, so the estimates
 are unbiased.
+
+Trials are decoded in batches of up to BATCH consecutive indices through
+amp.decode_batch, which runs the batch in lockstep through one AMP loop
+and one BP denoiser; each trial's result is bitwise the one it gets when
+decoded alone, so every tally depends only on (config, seed).  Tallies
+are added in trial index order.  run_point sizes each batch so that it
+cannot pass the target_errors stop: the run ends at the same trial as a
+one-by-one loop, and no trial past it is decoded.
 """
 
 import json
@@ -15,7 +23,7 @@ from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
-from .amp import DecoderParams, decode, tau2_floor_for
+from .amp import DecoderParams, decode, decode_batch, tau2_floor_for
 from .codec import (
     DesignMatrix, snr_to_sigma2, index_codeword, transmit, awgn,
     rng_stream, STREAM_MATRIX, STREAM_LABELS, STREAM_NOISE, STREAM_BITS,
@@ -29,6 +37,11 @@ RESULTS_HEADER = ("ebno_db,trials,bit_errors,ber,codeword_errors,cer,"
                   "mean_amp_iters,mean_tau2_final,wall_s")
 
 MATRIX_POLICIES = ("fixed", "per_trial")
+
+# Trials decoded together.  A constant, not an option: results do not
+# depend on it, and 8 trials take most of the per-round overhead out of
+# the BP denoiser at desk scale for little extra memory.
+BATCH = 8
 
 
 class ConfigError(ValueError):
@@ -133,8 +146,14 @@ def save_config(cfg, path):
         for f in fields(cfg):
             val = getattr(cfg, f.name)
             if f.type is tuple:
-                val = ",".join(f"{x:g}" for x in val)
+                val = ",".join(_fmt_float(x) for x in val)
             fh.write(f"{f.name}={val}\n")
+
+
+def _fmt_float(x):
+    """Shortest of {:g} and repr that reads back as the same float."""
+    short = f"{x:g}"
+    return short if float(short) == x else repr(float(x))
 
 
 @dataclass
@@ -151,8 +170,9 @@ class PointResult:
     aborts: int = 0    # decoder aborts, tallied but not part of the CSV schema
 
     def csv_row(self):
-        return (f"{self.ebno_db:g},{self.trials},{self.bit_errors},"
-                f"{self.ber:.6e},{self.codeword_errors},{self.cer:.6e},"
+        return (f"{_fmt_float(self.ebno_db)},{self.trials},"
+                f"{self.bit_errors},{self.ber:.6e},"
+                f"{self.codeword_errors},{self.cer:.6e},"
                 f"{self.mean_amp_iters:.4f},{self.mean_tau2_final:.6e},"
                 f"{self.wall_s:.3f}")
 
@@ -211,6 +231,19 @@ def trial_observation(cfg, encoder, A, sigma2, snr_index, trial):
     return bits, v, y
 
 
+def decode_trials(cfg, code, encoder, A, sigma2, params, snr_index, trials):
+    """Sent bits, codeword and DecodeResult of each seeded trial, decoded
+    together as one batch; A=None decodes each trial against its own
+    matrix (matrix_policy=per_trial)."""
+    As = [design_matrix(cfg, snr_index, trial) if A is None else A
+          for trial in trials]
+    sent = [trial_observation(cfg, encoder, A_t, sigma2, snr_index, trial)
+            for A_t, trial in zip(As, trials)]
+    results = decode_batch(np.stack([y for _, _, y in sent]), As, code,
+                           encoder, params)
+    return [(bits, v, res) for (bits, v, _), res in zip(sent, results)]
+
+
 def decode_trial(cfg, code, encoder, A, sigma2, params, snr_index, trial):
     """Sent bits, codeword and DecodeResult of one seeded trial; A=None
     decodes against the trial's own matrix (matrix_policy=per_trial)."""
@@ -221,9 +254,14 @@ def decode_trial(cfg, code, encoder, A, sigma2, params, snr_index, trial):
 
 
 def run_trial(cfg, code, encoder, A, sigma2, params, snr_index, trial):
-    """One end-to-end trial; returns per-trial tallies."""
-    bits, v, res = decode_trial(cfg, code, encoder, A, sigma2, params,
-                                snr_index, trial)
+    """One end-to-end trial decoded alone; returns per-trial tallies."""
+    return trial_tally(*decode_trial(cfg, code, encoder, A, sigma2, params,
+                                     snr_index, trial))
+
+
+def trial_tally(bits, v, res):
+    """Tallies of one decoded trial: bit errors, codeword error, AMP
+    iterations, final tau^2 and whether the decoder aborted."""
     bit_errors = int(np.sum(res.bits != bits))
     aborted = res.termination_reason == "non_finite"
     cw_error = bool(np.any(res.symbols != v)) or aborted
@@ -257,8 +295,9 @@ def _claim_output(path):
 
 
 def run_point(cfg, ebno_db, snr_index=0, prebuilt=None):
-    """Monte-Carlo at one SNR: trials in index order until target_errors
-    codeword errors are collected or cfg.trials is exhausted."""
+    """Monte-Carlo at one SNR: trials in index order, decoded in batches,
+    until target_errors codeword errors are collected or cfg.trials is
+    exhausted."""
     if prebuilt is None:
         _, code, encoder = build_experiment(cfg)
     else:
@@ -276,17 +315,21 @@ def run_point(cfg, ebno_db, snr_index=0, prebuilt=None):
     tau2_sum = 0.0
     trials_run = 0
     aborts = 0
-    for trial in range(cfg.trials):
-        be, cw, iters, tau2, aborted = run_trial(
-            cfg, code, encoder, A, sigma2, params, snr_index, trial)
-        trials_run += 1
-        bit_errors += be
-        cw_errors += int(cw)
-        iters_sum += iters
-        tau2_sum += tau2
-        aborts += int(aborted)
-        if cw_errors >= cfg.target_errors:
-            break
+    while trials_run < cfg.trials and cw_errors < cfg.target_errors:
+        # A batch no larger than the errors still missing can reach the
+        # target only at its last trial.
+        size = min(BATCH, cfg.trials - trials_run,
+                   cfg.target_errors - cw_errors)
+        batch = range(trials_run, trials_run + size)
+        for bits, v, res in decode_trials(cfg, code, encoder, A, sigma2,
+                                          params, snr_index, batch):
+            be, cw, iters, tau2, aborted = trial_tally(bits, v, res)
+            trials_run += 1
+            bit_errors += be
+            cw_errors += int(cw)
+            iters_sum += iters
+            tau2_sum += tau2
+            aborts += int(aborted)
 
     return PointResult(
         ebno_db=ebno_db,
@@ -409,9 +452,11 @@ def se_vs_truth(cfg, ebno_db, trials, psi=None, out_csv=None):
     _claim_output(out_csv)
 
     tau2_mc = np.mean(np.stack([
-        decode_trial(cfg, code, encoder, A, sigma2, params, 0,
-                     trial)[2].tau2_trace
-        for trial in range(trials)
+        res.tau2_trace
+        for start in range(0, trials, BATCH)
+        for _, _, res in decode_trials(
+            cfg, code, encoder, A, sigma2, params, 0,
+            range(start, min(start + BATCH, trials)))
     ]), axis=0)
 
     se_trace = approximate_se(code, cfg.n, sigma2, T, Schedule(cfg.schedule),

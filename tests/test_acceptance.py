@@ -24,7 +24,7 @@ from srldpc.codec import (
 from srldpc.denoiser import BpDenoiser, Schedule, divergence_terms
 from srldpc.gf import GF2m, fq_convolve
 from srldpc import harness
-from srldpc.harness import SimConfig, run_trial, se_vs_truth
+from srldpc.harness import SimConfig, run_point, se_vs_truth, trial_tally
 from srldpc.ldpc import LdpcCode, bits_to_symbols, build_code, syndrome_check
 from srldpc.state_evolution import best_candidate, get_psi, tune_rate
 
@@ -274,15 +274,19 @@ def _sweep_collect(schedule, monkeypatch):
     cfg = SimConfig(ebno_db=SWEEP_GRID, schedule=schedule, seed=1,
                     trials=2000, target_errors=50)
     bit_errors = {i: [] for i in range(len(cfg.ebno_db))}
+    point = []
 
-    def recording_trial(cfg, code, encoder, A, sigma2, params, snr_index,
-                        trial):
-        out = run_trial(cfg, code, encoder, A, sigma2, params, snr_index,
-                        trial)
-        bit_errors[snr_index].append(out[0])
+    def recording_point(cfg, ebno_db, snr_index=0, prebuilt=None):
+        point[:] = [snr_index]
+        return run_point(cfg, ebno_db, snr_index, prebuilt)
+
+    def recording_tally(bits, v, res):
+        out = trial_tally(bits, v, res)
+        bit_errors[point[0]].append(out[0])
         return out
 
-    monkeypatch.setattr(harness, "run_trial", recording_trial)
+    monkeypatch.setattr(harness, "run_point", recording_point)
+    monkeypatch.setattr(harness, "trial_tally", recording_tally)
     rows = harness.sweep(cfg)
 
     points = []

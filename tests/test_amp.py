@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
+from srldpc import harness
 from srldpc.amp import (
-    AmpState, DecoderParams, amp_step, decode, estimate_tau2, initial_state,
-    onsager, tau2_floor_for,
+    AmpState, DecoderParams, amp_step, decode, decode_batch, estimate_tau2,
+    initial_state, onsager, tau2_floor_for,
 )
 from srldpc.codec import (
     DesignMatrix, awgn, index_codeword, rng_stream, snr_to_sigma2, transmit,
@@ -96,11 +97,11 @@ def test_divergence_matches_at_later_iterations():
     y = awgn(x, sigma2, seed=7)
 
     den = BpDenoiser(code, Schedule("bpn"))
-    state = initial_state(y, q * L)
+    state = initial_state(y[None], q * L)
     for t in range(3):
-        state = amp_step(state, y, A, den, tau2_floor=1e-12)
-        closed = (state.carry_l1 - state.carry_l2sq) / state.tau2
-        fd = fd_divergence(code, state.r, state.tau2, rounds=t + 1)
+        state = amp_step(state, y[None], [A], den, tau2_floor=1e-12)
+        closed = (state.carry_l1[0] - state.carry_l2sq[0]) / state.tau2[0]
+        fd = fd_divergence(code, state.r[0], state.tau2[0], rounds=t + 1)
         assert abs(fd) > 1.0
         assert abs(closed - fd) / abs(fd) < 1e-3
 
@@ -122,9 +123,9 @@ def test_amp_step_initialization(desk):
     rng = np.random.default_rng(8)
     y = rng.standard_normal(A.n)
     den = BpDenoiser(code, Schedule("bp0"))
-    state = amp_step(initial_state(y, A.n_cols), y, A, den)
-    assert np.allclose(state.z, y, atol=1e-12)
-    assert np.allclose(state.r, A.rmatvec(y), atol=1e-12)
+    state = amp_step(initial_state(y[None], A.n_cols), y[None], [A], den)
+    assert np.allclose(state.z[0], y, atol=1e-12)
+    assert np.allclose(state.r[0], A.rmatvec(y), atol=1e-12)
     assert state.t == 1
 
 
@@ -136,12 +137,13 @@ def test_amp_noiseless_fixed_point(desk):
     y = transmit(s, A)
     den = BpDenoiser(code, Schedule("bpn"))
     l1, l2sq = divergence_terms(s)
-    state = AmpState(z=np.zeros(A.n), r=s.copy(), s_hat=s.copy(),
-                     tau2=1e-6, t=1, carry_l1=l1, carry_l2sq=l2sq)
-    nxt = amp_step(state, y, A, den, tau2_floor=1e-12)
+    state = AmpState(z=np.zeros((1, A.n)), r=s[None].copy(),
+                     s_hat=s[None].copy(), tau2=np.array([1e-6]), t=1,
+                     carry_l1=np.array([l1]), carry_l2sq=np.array([l2sq]))
+    nxt = amp_step(state, y[None], [A], den, tau2_floor=1e-12)
     # one-hot estimate: Onsager vanishes, residual stays at numerical zero
     assert np.abs(nxt.z).max() < 1e-3
-    assert np.abs(nxt.s_hat - s).max() < 1e-6
+    assert np.abs(nxt.s_hat[0] - s).max() < 1e-6
 
 
 def test_tau2_trace_mostly_nonincreasing(desk):
@@ -176,7 +178,7 @@ def test_bp0_equals_reference_mmse_amp(desk):
     y = awgn(x, sigma2, seed=11)
 
     den = BpDenoiser(code, Schedule("bp0"))
-    state = initial_state(y, A.n_cols)
+    state = initial_state(y[None], A.n_cols)
     floor = tau2_floor_for(sigma2)
 
     s_ref = np.zeros(q * L)
@@ -184,7 +186,7 @@ def test_bp0_equals_reference_mmse_amp(desk):
     tau2_ref = 1.0
     carry = 0.0
     for t in range(5):
-        state = amp_step(state, y, A, den, tau2_floor=floor)
+        state = amp_step(state, y[None], [A], den, tau2_floor=floor)
 
         z_ref = y - A.matvec(s_ref) + z_ref * (carry / (n * tau2_ref))
         tau2_ref = max(z_ref @ z_ref / n, floor)
@@ -195,8 +197,8 @@ def test_bp0_equals_reference_mmse_amp(desk):
         s_ref = (e / e.sum(axis=1, keepdims=True)).ravel()
         carry = s_ref.sum() - s_ref @ s_ref
 
-        assert np.abs(state.s_hat - s_ref).max() < 1e-12
-        assert np.abs(state.z - z_ref).max() < 1e-10
+        assert np.abs(state.s_hat[0] - s_ref).max() < 1e-12
+        assert np.abs(state.z[0] - z_ref).max() < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -260,3 +262,62 @@ def test_decode_non_finite_aborts(desk):
     res = decode(y, A, code, enc, params)
     assert not res.success
     assert res.termination_reason == "non_finite"
+
+
+# ---------------------------------------------------------------------------
+# Batched decode
+# ---------------------------------------------------------------------------
+
+def _desk_trials(schedule):
+    """The pinned desk trials (master seed 1, 4.25 dB, trials 0..63):
+    code, encoder, matrix, decoder settings and the 64 observations."""
+    cfg = harness.SimConfig(schedule=schedule, seed=1, trials=64,
+                            target_errors=64, ebno_db=(4.25,))
+    _, code, enc = harness.build_experiment(cfg)
+    sigma2 = harness._sigma2(cfg, 4.25)
+    params = harness.decoder_params(cfg, tau2_floor_for(sigma2))
+    A = harness.design_matrix(cfg, 0)
+    Y = np.stack([harness.trial_observation(cfg, enc, A, sigma2, 0, t)[2]
+                  for t in range(cfg.trials)])
+    return code, enc, A, params, Y
+
+
+def _assert_same_result(got, want):
+    for name in ("symbols", "bits"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    # an aborted trial's trace ends in NaN
+    assert np.array_equal(got.tau2_trace, want.tau2_trace, equal_nan=True)
+    for name in ("success", "iterations_used", "final_bp_rounds",
+                 "termination_reason", "denoiser_metadata"):
+        assert getattr(got, name) == getattr(want, name), name
+
+
+@pytest.mark.parametrize("schedule", ["bpn", "bp0", "bp1kg"])
+def test_decode_batch_equals_decode_bitwise(schedule):
+    """Batches of 8 give every trial bit for bit its result decoded
+    alone, including the failing trials that run the final BP while
+    their batch mates are compacted out."""
+    code, enc, A, params, Y = _desk_trials(schedule)
+    batched = []
+    for start in range(0, len(Y), 8):
+        batched += decode_batch(Y[start:start + 8], [A] * 8, code, enc,
+                                params)
+    reasons = set()
+    for y, got in zip(Y, batched):
+        _assert_same_result(got, decode(y, A, code, enc, params))
+        reasons.add(got.termination_reason)
+    assert "amp_syndrome" in reasons
+    assert any(res.final_bp_rounds > 0 for res in batched)
+    # stops at different AMP iterations, so batches were compacted
+    assert len({res.iterations_used for res in batched}) > 1
+
+
+def test_decode_batch_non_finite_row_aborts_alone():
+    code, enc, A, params, Y = _desk_trials("bpn")
+    Y = Y[:8].copy()
+    Y[3, 17] = np.nan
+    batched = decode_batch(Y, [A] * 8, code, enc, params)
+    aborted = [res.termination_reason == "non_finite" for res in batched]
+    assert aborted == [k == 3 for k in range(8)]
+    for y, got in zip(Y, batched):
+        _assert_same_result(got, decode(y, A, code, enc, params))

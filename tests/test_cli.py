@@ -250,6 +250,7 @@ def test_unwritable_out_fails_before_any_trial(tmp_path, cfg_path,
 
     monkeypatch.setattr("srldpc.harness.run_point", no_trials)
     monkeypatch.setattr("srldpc.harness.decode", no_trials)
+    monkeypatch.setattr("srldpc.harness.decode_batch", no_trials)
     out = str(tmp_path / "missing" / "out.csv")
     assert main(["simulate", "--config", cfg_path, "--out", out]) == 1
     assert main(["se-vs-truth", "--config", cfg_path, "--ebno", "8.0",

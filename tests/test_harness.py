@@ -1,7 +1,10 @@
 import json
 
+import numpy as np
 import pytest
 
+from srldpc import harness
+from srldpc.amp import tau2_floor_for
 from srldpc.harness import (
     ConfigError, SimConfig, build_experiment, design_matrix, load_config,
     rate_sweep, run_point, save_config,
@@ -44,6 +47,16 @@ def test_config_file_round_trip(tmp_path):
     path = tmp_path / "cfg.txt"
     save_config(cfg, path)
     assert load_config(path) == cfg
+
+
+def test_config_round_trip_keeps_ebno_digits(tmp_path):
+    cfg = SimConfig(**{**SMALL, "ebno_db": (4.123456789, 3.0)})
+    path = tmp_path / "cfg.txt"
+    save_config(cfg, path)
+    assert "ebno_db=4.123456789,3\n" in path.read_text()
+    assert load_config(path) == cfg
+    row = run_point(SimConfig(**{**SMALL, "trials": 1}), 4.123456789)
+    assert row.csv_row().startswith("4.123456789,1,")
 
 
 def test_config_unknown_key(tmp_path):
@@ -134,6 +147,42 @@ def test_run_point_desk_outcomes_pinned(schedule, expected):
     iters = int(round(row.mean_amp_iters * row.trials))
     assert (row.trials, row.codeword_errors, row.bit_errors, iters,
             row.aborts) == expected
+
+
+@pytest.mark.parametrize("policy", ["fixed", "per_trial"])
+def test_run_point_target_errors_matches_serial_loop(policy):
+    """Batched run_point stops at the trial where a one-by-one loop
+    reaches target_errors (here inside the first and the third batch of
+    eight) and tallies the same trials."""
+    cfg = SimConfig(**{**SMALL, "trials": 40, "target_errors": 3,
+                       "ebno_db": (3.0,), "matrix_policy": policy})
+    _, code, encoder = build_experiment(cfg)
+    sigma2 = harness._sigma2(cfg, 3.0)
+    params = harness.decoder_params(cfg, tau2_floor_for(sigma2))
+    A = design_matrix(cfg, 0) if policy == "fixed" else None
+    trials = bit_errors = cw_errors = iters = aborts = 0
+    tau2 = 0.0
+    for trial in range(cfg.trials):
+        bits, v, res = harness.decode_trial(cfg, code, encoder, A, sigma2,
+                                            params, 0, trial)
+        aborted = res.termination_reason == "non_finite"
+        trials += 1
+        bit_errors += int(np.sum(res.bits != bits))
+        cw_errors += int(bool(np.any(res.symbols != v)) or aborted)
+        iters += res.iterations_used
+        tau2 += float(res.tau2_trace[-1])
+        aborts += int(aborted)
+        if cw_errors >= cfg.target_errors:
+            break
+    assert trials < cfg.trials and trials % 8 != 0
+
+    row = run_point(cfg, 3.0)
+    assert (row.ebno_db, row.trials, row.bit_errors, row.codeword_errors,
+            row.aborts) == (3.0, trials, bit_errors, cw_errors, aborts)
+    assert row.ber == bit_errors / (trials * cfg.B)
+    assert row.cer == cw_errors / trials
+    assert row.mean_amp_iters == iters / trials
+    assert row.mean_tau2_final == tau2 / trials
 
 
 def test_matrix_for_per_trial_needs_trial():
