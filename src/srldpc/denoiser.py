@@ -101,22 +101,22 @@ def divergence_terms(s_hat):
 
 
 def _normalize_rows(mat):
-    """Normalize the rows (last axis) of an array to probability vectors.
+    """Normalize the rows (last axis) of a fresh array, in place, to
+    probability vectors.
 
     Rows whose total is zero or not finite fall back to uniform; every
     entry is then floored at MSG_FLOOR and the rows renormalized.
-    Returns (normalized copy, fallback rows counted along axis 0): an
-    int for a 2-D array, one count per trial for (nodes, trials, q).
+    Returns (mat, fallback rows counted along axis 0): an int for a 2-D
+    array, one count per trial for (nodes, trials, q).
     """
     totals = mat.sum(axis=-1, keepdims=True)
     bad = ~np.isfinite(totals[..., 0]) | (totals[..., 0] <= 0.0)
     n_bad = 0
     if bad.any():
         n_bad = bad.sum(axis=0)
-        mat = mat.copy()
         mat[bad] = 1.0 / mat.shape[-1]
         totals = mat.sum(axis=-1, keepdims=True)
-    mat = mat / totals
+    mat /= totals
     np.maximum(mat, MSG_FLOOR, out=mat)
     mat /= mat.sum(axis=-1, keepdims=True)
     return mat, n_bad
@@ -169,16 +169,14 @@ class BpDenoiser:
         self._resize(1)
 
     def _resize(self, trials):
-        """Fresh messages, counters and gather maps for a batch size."""
+        """Fresh messages and counters for a batch size."""
         E, q = self.code.n_edges, self.field.q
         self.trials = trials
-        self._absorb = _widen(self._absorb1, np.arange(E), trials, q)
-        self._relabel = _widen(self._relabel1, self._unorder, trials, q)
+        self._maps = None
         # c2v rows live inside a padded buffer whose last row is the
         # neutral all-ones row, so gathers need no stacking per round.
         self._c2v_pad = np.empty((E + 1, trials, q))
-        self._spectra_pad = np.empty((E + 1, trials, q))
-        self._spectra_pad[E] = 1.0
+        self._v2c = np.empty((E, trials, q))
         self._underflow = np.zeros(trials, dtype=np.int64)
         self._sub_girth = np.zeros(trials, dtype=np.int64)
         self.reset_messages()
@@ -186,16 +184,25 @@ class BpDenoiser:
     def compact(self, keep):
         """Keep only the trials at positions keep (ascending) of the batch,
         with their messages, local posteriors and counters."""
-        c2v = self._c2v_pad.take(keep, axis=1)
-        v2c = self._v2c.take(keep, axis=1)
-        underflow, sub_girth = self._underflow[keep], self._sub_girth[keep]
-        alpha = self._alpha
-        if alpha is not None:
-            alpha = alpha.take(keep, axis=1)
-        self._resize(len(keep))
-        self._c2v_pad, self._v2c = c2v, v2c
-        self._underflow, self._sub_girth = underflow, sub_girth
-        self._alpha = alpha
+        self.trials = len(keep)
+        self._maps = None
+        self._c2v_pad = self._c2v_pad.take(keep, axis=1)
+        self._v2c = self._v2c.take(keep, axis=1)
+        self._underflow = self._underflow[keep]
+        self._sub_girth = self._sub_girth[keep]
+        if self._alpha is not None:
+            self._alpha = self._alpha.take(keep, axis=1)
+
+    def _label_maps(self):
+        """(absorb, relabel) flat label maps for the current batch size,
+        built by the first check round after it changes."""
+        if self._maps is None:
+            E, q = self.code.n_edges, self.field.q
+            self._maps = (
+                _widen(self._absorb1, np.arange(E), self.trials, q),
+                _widen(self._relabel1, self._unorder, self.trials, q),
+            )
+        return self._maps
 
     def _view(self, a):
         """a with the trial axis (axis 1) dropped for a single trial."""
@@ -233,7 +240,7 @@ class BpDenoiser:
     def reset_messages(self):
         q = self.field.q
         E = self.code.n_edges
-        self._v2c = np.full((E, self.trials, q), 1.0 / q)
+        self._v2c[...] = 1.0 / q
         self._c2v_pad[:E] = 1.0 / q
         self._c2v_pad[E] = 1.0
 
@@ -280,14 +287,24 @@ class BpDenoiser:
         if E == 0:
             return
         q, trials = self.field.q, self.trials
-        np.matmul(self._v2c.take(self._absorb).reshape(-1, q), self._H,
-                  out=self._spectra_pad[:E].reshape(-1, q))
-        excl = _excl_prod(self._spectra_pad[self._chk_pad])
-        conv = excl.reshape(-1, trials, q)[self._chk_sel].reshape(-1, q)
-        conv = conv @ self._H
+        absorb, relabel = self._label_maps()
+        # Chained, so that each (edges, trials, q) temporary is freed as
+        # soon as the next one exists: peak memory grows with the batch.
+        conv = _excl_prod(self._check_spectra(absorb)).reshape(
+            -1, trials, q)[self._chk_sel].reshape(-1, q) @ self._H
         conv *= 1.0 / q
         np.maximum(conv, 0.0, out=conv)
-        self._c2v_pad[:E] = self._renorm(conv.take(self._relabel))
+        self._c2v_pad[:E] = self._renorm(conv.take(relabel))
+
+    def _check_spectra(self, absorb):
+        """Transforms of the label-absorbed v2c, gathered slot-major as
+        (slots, checks, trials, q); padded slots read an all-ones row."""
+        E, q = self.code.n_edges, self.field.q
+        spectra = np.empty((E + 1, self.trials, q))
+        spectra[E] = 1.0
+        np.matmul(self._v2c.take(absorb).reshape(-1, q), self._H,
+                  out=spectra[:E].reshape(-1, q))
+        return spectra[self._chk_pad]
 
     def estimate(self):
         """Per-section posterior (L, q), or (L, K, q) for a batch,
@@ -354,22 +371,22 @@ def _widen(flat, rows, trials, q):
 
 
 def _excl_prod(a):
-    """Per-slot products along axis 0 excluding the slot itself.
+    """Per-slot products along axis 0 excluding the slot itself; a is
+    overwritten (callers pass a fresh gather).
 
-    Prefix products run left to right and suffix products right to left,
-    the association np.cumprod uses.  A loop over contiguous per-slot
-    (nodes, trials, q) slices beats a cumprod that strides across slots;
-    state evolution's scalar (checks, slots) products keep the cumprod,
-    which is contiguous there.
+    Prefix products run left to right into the output, and suffix
+    products right to left in place in a, so that a[k] becomes the
+    product of slots k and later: the association np.cumprod uses.  One
+    product then joins them.  A loop over contiguous per-slot (nodes,
+    trials, q) slices beats a cumprod that strides across slots; state
+    evolution's scalar (checks, slots) products keep the cumprod, which
+    is contiguous there.
     """
     out = np.empty_like(a)
     out[0] = 1.0
     for k in range(1, len(a)):
         np.multiply(out[k - 1], a[k - 1], out=out[k])
-    if len(a) > 1:
-        suf = a[-1].copy()
-        out[-2] *= suf
-        for k in range(len(a) - 3, -1, -1):
-            suf *= a[k + 1]
-            out[k] *= suf
+    for k in range(len(a) - 2, 0, -1):
+        a[k] *= a[k + 1]
+    out[:-1] *= a[1:]
     return out
