@@ -9,9 +9,10 @@ are unbiased.
 
 Trials are decoded in batches of up to BATCH consecutive indices through
 amp.decode_batch, which runs the batch in lockstep through one AMP loop
-and one BP denoiser; each trial's result is bitwise the one it gets when
-decoded alone, so every tally depends only on (config, seed).  Tallies
-are added in trial index order.  run_point sizes each batch so that it
+and one BP denoiser holding the messages as (edges, trials, q); a trial
+that stops is compacted out while the others go on.  Each trial's result
+is bitwise the one it gets when decoded alone, so every tally depends
+only on (config, seed).  Tallies are added in trial index order.  run_point sizes each batch so that it
 cannot pass the target_errors stop: the run ends at the same trial as a
 one-by-one loop, and no trial past it is decoded.
 """
