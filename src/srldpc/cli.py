@@ -13,8 +13,8 @@ import numpy as np
 from .amp import decode
 from .harness import (
     ConfigError, load_config, sweep, se_predict, se_vs_truth, rate_sweep,
-    build_experiment, channel_input, decoder_params, design_matrix,
-    write_se_csv, write_rate_csv,
+    build_experiment, channel_input, claim_output, decoder_params,
+    design_matrix, read_input, write_se_csv, write_rate_csv,
 )
 from .state_evolution import best_candidate
 
@@ -70,9 +70,7 @@ def _load(args):
 
 
 def _read_bits(path):
-    with open(path) as fh:
-        text = fh.read()
-    bits = [c for c in text if not c.isspace()]
+    bits = [c for c in read_input(path) if not c.isspace()]
     if any(c not in "01" for c in bits):
         raise ConfigError(f"{path}: bits file must contain only 0/1")
     return np.array([int(c) for c in bits], dtype=np.int64)
@@ -89,7 +87,10 @@ def _cmd_simulate(args):
 
 
 def _cmd_se(args):
-    cfg = _load(args)
+    # SimConfig rejects an Eb/N0 without a finite noise variance, before
+    # --out is created and the SE work starts
+    cfg = replace(_load(args), ebno_db=(args.ebno,))
+    claim_output(args.out)
     trace = se_predict(cfg, args.ebno)
     write_se_csv(trace, args.out)
     print(f"tau2 final {trace.tau2[-1]:.6e} converged={trace.converged}; "
@@ -113,6 +114,10 @@ def _cmd_tune_rate(args):
         raise ConfigError(f"--rates: {exc}") from exc
     if not rates:
         raise ConfigError("no rates given")
+    for r in rates:
+        if not 0 < r <= 1:
+            raise ConfigError(f"rate {r} outside (0, 1]")
+    claim_output(args.out)
     rows = rate_sweep(cfg, rates)
     if not rows:
         raise ConfigError("no feasible (L, P) candidates")
@@ -141,7 +146,7 @@ def _cmd_decode(args):
     cfg = _load(args)
     try:
         y = np.loadtxt(args.obs, dtype=np.float64)
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         raise ConfigError(f"{args.obs}: {exc}") from exc
     if y.shape != (cfg.n,):
         raise ConfigError(f"expected {cfg.n} observations, got {y.shape}")

@@ -41,74 +41,43 @@ def hard_decision(s_hat, q):
 class DesignMatrix:
     """n x n_cols sensing matrix with i.i.d. N(0, 1/n) entries.
 
-    Every column is generated from its own (seed, STREAM_MATRIX, column)
-    stream, so the dense default and the on-the-fly low-memory mode
-    yield the same matrix.  Dense storage is float32, row-major;
-    products are returned in float64.
+    Column j is drawn from its own (seed, STREAM_MATRIX, j) stream.  That
+    stream is what defines a seeded matrix: any column can be regenerated
+    alone, and a matrix does not depend on the order its columns are
+    drawn in.  Storage is float32, row-major; products are returned in
+    float64.
     """
 
-    def __init__(self, n, n_cols, seed, dense=True, chunk=256):
+    def __init__(self, n, n_cols, seed):
         self.n = int(n)
         self.n_cols = int(n_cols)
         self.seed = seed
-        self.dense = dense
-        self.chunk = chunk
-        if dense:
-            self._A = self._block(0, self.n_cols)
-
-    def _block(self, start, stop):
-        cols = np.empty((self.n, stop - start), dtype=np.float32, order="F")
+        cols = np.empty((self.n, self.n_cols), dtype=np.float32, order="F")
         scale = 1.0 / np.sqrt(self.n)
-        for j in range(start, stop):
+        for j in range(self.n_cols):
             rng = rng_stream(self.seed, STREAM_MATRIX, j)
-            cols[:, j - start] = rng.standard_normal(self.n) * scale
-        return np.ascontiguousarray(cols)
-
-    def column(self, j):
-        if self.dense:
-            return self._A[:, j].astype(np.float64)
-        return self._block(j, j + 1)[:, 0].astype(np.float64)
+            cols[:, j] = rng.standard_normal(self.n) * scale
+        self._A = np.ascontiguousarray(cols)
 
     def matvec(self, s):
         """A @ s for a length-n_cols vector."""
         s = np.asarray(s, dtype=np.float64)
         if s.shape != (self.n_cols,):
             raise ValueError(f"expected length-{self.n_cols} vector")
-        if self.dense:
-            return (self._A @ s.astype(np.float32)).astype(np.float64)
-        out = np.zeros(self.n)
-        for start in range(0, self.n_cols, self.chunk):
-            stop = min(start + self.chunk, self.n_cols)
-            block = self._block(start, stop)
-            out += block @ s[start:stop].astype(np.float32)
-        return out
+        return (self._A @ s.astype(np.float32)).astype(np.float64)
 
     def rmatvec(self, z):
         """A^T @ z for a length-n vector."""
         z = np.asarray(z, dtype=np.float64)
         if z.shape != (self.n,):
             raise ValueError(f"expected length-{self.n} vector")
-        if self.dense:
-            return (self._A.T @ z.astype(np.float32)).astype(np.float64)
-        out = np.zeros(self.n_cols)
-        z32 = z.astype(np.float32)
-        for start in range(0, self.n_cols, self.chunk):
-            stop = min(start + self.chunk, self.n_cols)
-            out[start:stop] = self._block(start, stop).T @ z32
-        return out
+        return (self._A.T @ z.astype(np.float32)).astype(np.float64)
 
 
-def transmit(s, A):
-    """Channel input x = A s; for one-hot s this sums L columns of A."""
-    return A.matvec(s)
-
-
-def awgn(x, sigma2, seed=None, rng=None):
-    """Add i.i.d. N(0, sigma2) noise; pass either a seed or a Generator."""
+def awgn(x, sigma2, rng):
+    """Add i.i.d. N(0, sigma2) noise drawn from the Generator rng."""
     if sigma2 <= 0:
         raise ValueError("sigma2 must be positive")
-    if rng is None:
-        rng = rng_stream(seed, STREAM_NOISE)
     x = np.asarray(x, dtype=np.float64)
     return x + np.sqrt(sigma2) * rng.standard_normal(x.size)
 

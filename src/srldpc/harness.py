@@ -26,7 +26,7 @@ import numpy as np
 
 from .amp import DecoderParams, decode, decode_batch, tau2_floor_for
 from .codec import (
-    DesignMatrix, snr_to_sigma2, index_codeword, transmit, awgn,
+    DesignMatrix, snr_to_sigma2, index_codeword, awgn,
     rng_stream, STREAM_MATRIX, STREAM_LABELS, STREAM_NOISE, STREAM_BITS,
 )
 from .denoiser import Schedule
@@ -113,33 +113,42 @@ def load_config(path):
     SimConfig's fields, and unknown keys are errors."""
     types = {f.name: f.type for f in fields(SimConfig)}
     values = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key=value")
-            key, _, val = line.partition("=")
-            key, val = key.strip(), val.strip()
-            if key not in types:
-                raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-            if key in values:
-                raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
-            try:
-                if types[key] is tuple:
-                    values[key] = tuple(
-                        float(x) for x in val.split(",") if x.strip()
-                    )
-                else:
-                    values[key] = types[key](val)
-            except ValueError as exc:
-                raise ConfigError(f"{path}:{lineno}: bad value for {key}: "
-                                  f"{exc}") from exc
+    for lineno, raw in enumerate(read_input(path).splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{lineno}: expected key=value")
+        key, _, val = line.partition("=")
+        key, val = key.strip(), val.strip()
+        if key not in types:
+            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in values:
+            raise ConfigError(f"{path}:{lineno}: duplicate key {key!r}")
+        try:
+            if types[key] is tuple:
+                values[key] = tuple(
+                    float(x) for x in val.split(",") if x.strip()
+                )
+            else:
+                values[key] = types[key](val)
+        except ValueError as exc:
+            raise ConfigError(f"{path}:{lineno}: bad value for {key}: "
+                              f"{exc}") from exc
     try:
         return SimConfig(**values)
     except TypeError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+def read_input(path):
+    """Text of an input file; a file that is missing, is a directory or
+    is not UTF-8 text is a config error naming it."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
 
 
 def save_config(cfg, path):
@@ -218,7 +227,7 @@ def channel_input(encoder, bits, A):
     """Codeword v and noiseless channel input x = A s(v) for a payload."""
     field = encoder.field
     v = encoder.encode(bits_to_symbols(bits, field.m))
-    return v, transmit(index_codeword(v, field.q), A)
+    return v, A.matvec(index_codeword(v, field.q))
 
 
 def trial_observation(cfg, encoder, A, sigma2, snr_index, trial):
@@ -284,9 +293,10 @@ def _sigma2(cfg, ebno_db):
     return sigma2
 
 
-def _claim_output(path):
-    """Create an output file before any trial runs, so a path that cannot
-    be written fails at once as a config error instead of after the work."""
+def claim_output(path):
+    """Create an output file before any trial or SE work runs, so a path
+    that cannot be written fails at once as a config error instead of
+    after the work."""
     if path is None:
         return
     try:
@@ -351,7 +361,7 @@ def sweep(cfg, out_csv=None):
     description file next to it.  The CSV is opened before the first
     trial."""
     prebuilt = build_experiment(cfg)
-    _claim_output(out_csv)
+    claim_output(out_csv)
     rows = [
         run_point(cfg, ebno, snr_index=i, prebuilt=prebuilt)
         for i, ebno in enumerate(cfg.ebno_db)
@@ -415,13 +425,12 @@ def _write_plot_spec(cfg, rows, out_csv):
         json.dump(spec, fh, indent=2)
 
 
-def se_predict(cfg, ebno_db, T=None, psi=None):
-    """Approximate-SE trajectory for the configured code at one SNR."""
+def se_predict(cfg, ebno_db, psi=None):
+    """Approximate-SE trajectory of cfg.amp_iters iterations at one SNR."""
     _, code, _ = build_experiment(cfg)
     sigma2 = _sigma2(cfg, ebno_db)
-    T = cfg.amp_iters if T is None else T
-    return approximate_se(code, cfg.n, sigma2, T, Schedule(cfg.schedule),
-                          psi=psi)
+    return approximate_se(code, cfg.n, sigma2, cfg.amp_iters,
+                          Schedule(cfg.schedule), psi=psi)
 
 
 def write_se_csv(trace, path):
@@ -450,7 +459,7 @@ def se_vs_truth(cfg, ebno_db, trials, psi=None, out_csv=None):
     A = None
     if cfg.matrix_policy == "fixed":
         A = design_matrix(cfg, 0)
-    _claim_output(out_csv)
+    claim_output(out_csv)
 
     tau2_mc = np.mean(np.stack([
         res.tau2_trace
@@ -479,7 +488,7 @@ def write_se_vs_truth_csv(rows, path):
             fh.write(f"{t},{mc:.8e},{se:.8e},{rel:.6e}\n")
 
 
-def rate_sweep(cfg, rates, T=20, psi=None):
+def rate_sweep(cfg, rates, psi=None):
     """Outer-rate candidates for tune_rate at fixed B and n.
 
     Rates map to (L, P) pairs through the fixed message-symbol count
@@ -495,7 +504,7 @@ def rate_sweep(cfg, rates, T=20, psi=None):
         pairs.append((L, L - k))
     pairs = sorted(set(pairs))
     ebno = cfg.ebno_db[0]
-    return tune_rate(field, pairs, cfg.B, cfg.n, cfg.dv, ebno, T=T,
+    return tune_rate(field, pairs, cfg.B, cfg.n, cfg.dv, ebno,
                      schedule=Schedule(cfg.schedule), seed=cfg.label_seed(),
                      psi=psi)
 

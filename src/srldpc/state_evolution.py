@@ -82,8 +82,8 @@ def _mc_alpha0_mean(q, tau2, samples, rng, chunk=1 << 18):
     return total / samples
 
 
-def build_psi(q, grid_spec=PSI_GRID, samples=PSI_SAMPLES, seed=0):
-    """Tabulate Psi by Monte-Carlo with isotonic smoothing.
+def build_psi(q, samples=PSI_SAMPLES):
+    """Tabulate Psi on PSI_GRID by Monte-Carlo with isotonic smoothing.
 
     If the raw table strays from monotone by more than the expected MC
     noise, the estimate is rebuilt with four times the samples, at most
@@ -91,12 +91,12 @@ def build_psi(q, grid_spec=PSI_GRID, samples=PSI_SAMPLES, seed=0):
     """
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples per grid point")
-    lo, hi, points = grid_spec
+    lo, hi, points = PSI_GRID
     tau2_grid = np.logspace(np.log10(lo), np.log10(hi), int(points))
 
     for attempt in range(PSI_REBUILDS + 1):
         n_samp = samples * (4 ** attempt)
-        rng = rng_stream(seed, 100, attempt)
+        rng = rng_stream(0, 100, attempt)
         raw = np.array([
             _mc_alpha0_mean(q, t2, n_samp, rng) for t2 in tau2_grid
         ])
@@ -110,8 +110,8 @@ def build_psi(q, grid_spec=PSI_GRID, samples=PSI_SAMPLES, seed=0):
 
 
 @functools.lru_cache(maxsize=8)
-def get_psi(q, samples=PSI_SAMPLES, seed=0):
-    return build_psi(q, samples=samples, seed=seed)
+def get_psi(q, samples=PSI_SAMPLES):
+    return build_psi(q, samples=samples)
 
 
 def se_check_mse(in_l2, q):
@@ -160,11 +160,15 @@ def approximate_se(code, n, sigma2, T, schedule, psi=None):
 
     Graph messages reset to uninformative at the start of every modeled
     AMP iteration (the keep-graph schedule has no scalar model; its
-    round count is still honored).
+    round count is still honored).  A Psi table built for another field
+    size is an error.
     """
-    if psi is None:
-        psi = get_psi(code.field.q)
     q = code.field.q
+    if psi is None:
+        psi = get_psi(q)
+    elif psi.q != q:
+        raise ValueError(f"Psi table is for q={psi.q}, the code is over "
+                         f"GF({q})")
     L, E = code.L, code.n_edges
     edge_var = code.edge_var
     if E:

@@ -18,7 +18,7 @@ from helpers import (
 )
 from srldpc.amp import DecoderParams, decode, tau2_floor_for
 from srldpc.codec import (
-    DesignMatrix, awgn, index_codeword, rng_stream, snr_to_sigma2, transmit,
+    DesignMatrix, awgn, index_codeword, rng_stream, snr_to_sigma2,
     STREAM_BITS, STREAM_NOISE,
 )
 from srldpc.denoiser import BpDenoiser, Schedule, divergence_terms
@@ -233,7 +233,7 @@ def test_c6_tau0_identity(desk_code):
         bits = rng_stream(106, STREAM_BITS, 0, trial).integers(
             0, 2, size=DESK["B"])
         v = enc.encode(bits_to_symbols(bits, field.m))
-        x = transmit(index_codeword(v, field.q), A)
+        x = A.matvec(index_codeword(v, field.q))
         y = awgn(x, sigma2, rng=rng_stream(106, STREAM_NOISE, 0, trial))
         samples[trial] = (y @ y) / n
     target = sigma2 + code.L / n
@@ -357,7 +357,7 @@ def _mc_residual(field, L, P, ebno, trials=200, T=20):
         bits = rng_stream(9, STREAM_BITS, 0, trial).integers(
             0, 2, size=DESK["B"])
         v = enc.encode(bits_to_symbols(bits, field.m))
-        x = transmit(index_codeword(v, field.q), A)
+        x = A.matvec(index_codeword(v, field.q))
         y = awgn(x, sigma2, rng=rng_stream(9, STREAM_NOISE, 0, trial))
         finals[trial] = decode(y, A, code, enc, params).tau2_trace[T]
     return finals.mean() - sigma2

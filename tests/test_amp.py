@@ -7,7 +7,7 @@ from srldpc.amp import (
     initial_state, onsager, tau2_floor_for,
 )
 from srldpc.codec import (
-    DesignMatrix, awgn, index_codeword, rng_stream, snr_to_sigma2, transmit,
+    DesignMatrix, awgn, index_codeword, rng_stream, snr_to_sigma2,
     STREAM_BITS, STREAM_NOISE,
 )
 from helpers import fd_divergence
@@ -91,10 +91,10 @@ def test_divergence_matches_at_later_iterations():
     A = DesignMatrix(n, q * L, seed=5)
     rng = np.random.default_rng(6)
     v = enc.encode(rng.integers(0, q, size=enc.k))
-    x = transmit(index_codeword(v, q), A)
+    x = A.matvec(index_codeword(v, q))
     # low SNR keeps the beliefs soft, so the divergence stays far from 0
     sigma2 = snr_to_sigma2(0.5, enc.k * field.m, L)
-    y = awgn(x, sigma2, seed=7)
+    y = awgn(x, sigma2, rng=rng_stream(7, STREAM_NOISE))
 
     den = BpDenoiser(code, Schedule("bpn"))
     state = initial_state(y[None], q * L)
@@ -134,7 +134,7 @@ def test_amp_noiseless_fixed_point(desk):
     rng = np.random.default_rng(9)
     v = enc.encode(rng.integers(0, field.q, size=enc.k))
     s = index_codeword(v, field.q)
-    y = transmit(s, A)
+    y = A.matvec(s)
     den = BpDenoiser(code, Schedule("bpn"))
     l1, l2sq = divergence_terms(s)
     state = AmpState(z=np.zeros((1, A.n)), r=s[None].copy(),
@@ -156,7 +156,7 @@ def test_tau2_trace_mostly_nonincreasing(desk):
     for trial in range(100):
         bits = rng_stream(3, STREAM_BITS, 0, trial).integers(0, 2, size=480)
         v = enc.encode(bits_to_symbols(bits, field.m))
-        x = transmit(index_codeword(v, field.q), A)
+        x = A.matvec(index_codeword(v, field.q))
         y = awgn(x, sigma2, rng=rng_stream(3, STREAM_NOISE, 0, trial))
         res = decode(y, A, code, enc, params)
         tr = res.tau2_trace
@@ -174,8 +174,8 @@ def test_bp0_equals_reference_mmse_amp(desk):
     rng = np.random.default_rng(10)
     bits = rng.integers(0, 2, size=480)
     v = enc.encode(bits_to_symbols(bits, field.m))
-    x = transmit(index_codeword(v, q), A)
-    y = awgn(x, sigma2, seed=11)
+    x = A.matvec(index_codeword(v, q))
+    y = awgn(x, sigma2, rng=rng_stream(11, STREAM_NOISE))
 
     den = BpDenoiser(code, Schedule("bp0"))
     state = initial_state(y[None], A.n_cols)
@@ -210,8 +210,8 @@ def test_decode_noiseless_success(desk):
     rng = np.random.default_rng(12)
     bits = rng.integers(0, 2, size=480)
     v = enc.encode(bits_to_symbols(bits, field.m))
-    y = transmit(index_codeword(v, field.q), A)
-    y = awgn(y, 1e-10, seed=13)
+    y = A.matvec(index_codeword(v, field.q))
+    y = awgn(y, 1e-10, rng=rng_stream(13, STREAM_NOISE))
     params = DecoderParams(amp_iters=25, final_bp_iters=100,
                            schedule=Schedule("bpn"), tau2_floor=1e-13)
     res = decode(y, A, code, enc, params)
@@ -225,7 +225,7 @@ def test_decode_deterministic(desk):
     sigma2 = snr_to_sigma2(4.0, 480, code.L)
     bits = rng_stream(21, STREAM_BITS, 0, 0).integers(0, 2, size=480)
     v = enc.encode(bits_to_symbols(bits, field.m))
-    x = transmit(index_codeword(v, field.q), A)
+    x = A.matvec(index_codeword(v, field.q))
     y = awgn(x, sigma2, rng=rng_stream(21, STREAM_NOISE, 0, 0))
     params = DecoderParams(amp_iters=10, final_bp_iters=20,
                            schedule=Schedule("bp1kg"),
@@ -244,8 +244,8 @@ def test_decode_heavy_noise_sanity(desk):
     rng = np.random.default_rng(14)
     bits = rng.integers(0, 2, size=480)
     v = enc.encode(bits_to_symbols(bits, field.m))
-    x = transmit(index_codeword(v, field.q), A)
-    y = awgn(x, 100.0, seed=15)
+    x = A.matvec(index_codeword(v, field.q))
+    y = awgn(x, 100.0, rng=rng_stream(15, STREAM_NOISE))
     params = DecoderParams(amp_iters=8, final_bp_iters=10,
                            schedule=Schedule("bpn"), tau2_floor=1e-6)
     res = decode(y, A, code, enc, params)

@@ -41,10 +41,26 @@ def test_simulate_bad_config_exit_1(tmp_path, capsys):
     assert rc == 1
 
 
-def test_missing_config_exit_1(tmp_path):
-    rc = main(["simulate", "--config", str(tmp_path / "nope.txt"),
-               "--out", str(tmp_path / "x.csv")])
-    assert rc == 1
+def test_missing_config_exit_1(tmp_path, capsys):
+    """A config that is missing, is a directory or is not UTF-8 text."""
+    not_utf8 = tmp_path / "latin1.txt"
+    not_utf8.write_bytes("m=4  # Galois field \xe9\n".encode("latin-1"))
+    for path in (tmp_path / "nope.txt", tmp_path, not_utf8):
+        rc = main(["se", "--config", str(path), "--ebno", "8.0",
+                   "--out", str(tmp_path / "x.csv")])
+        assert rc == 1
+        assert str(path) in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_unreadable_bits_and_obs_exit_1(tmp_path, cfg_path, capsys):
+    out = tmp_path / "out.txt"
+    assert main(["encode", "--config", cfg_path, "--bits", str(tmp_path),
+                 "--out", str(out)]) == 1
+    assert main(["decode", "--config", cfg_path, "--obs", str(tmp_path),
+                 "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "runtime failure" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("argv", [
@@ -244,15 +260,19 @@ def test_se_non_finite_ebno_exit_1(tmp_path, cfg_path, argv, capsys):
 def test_unwritable_out_fails_before_any_trial(tmp_path, cfg_path,
                                                monkeypatch, capsys):
     """An --out that cannot be opened is a config error, raised before
-    the first trial rather than after the whole Monte-Carlo run."""
+    the first trial or SE run rather than after the whole computation."""
     def no_trials(*args, **kwargs):
-        raise AssertionError("a trial ran before --out was opened")
+        raise AssertionError("work ran before --out was opened")
 
     monkeypatch.setattr("srldpc.harness.run_point", no_trials)
     monkeypatch.setattr("srldpc.harness.decode", no_trials)
     monkeypatch.setattr("srldpc.harness.decode_batch", no_trials)
+    monkeypatch.setattr("srldpc.harness.approximate_se", no_trials)
+    monkeypatch.setattr("srldpc.harness.tune_rate", no_trials)
     out = str(tmp_path / "missing" / "out.csv")
-    assert main(["simulate", "--config", cfg_path, "--out", out]) == 1
-    assert main(["se-vs-truth", "--config", cfg_path, "--ebno", "8.0",
-                 "--trials", "20", "--out", out]) == 1
-    assert "cannot write" in capsys.readouterr().err
+    for argv in (["simulate"],
+                 ["se-vs-truth", "--ebno", "8.0", "--trials", "20"],
+                 ["se", "--ebno", "8.0"],
+                 ["tune-rate", "--rates", "0.75,0.6"]):
+        assert main(argv + ["--config", cfg_path, "--out", out]) == 1
+        assert "cannot write" in capsys.readouterr().err

@@ -3,7 +3,7 @@ import pytest
 
 from srldpc.codec import (
     DesignMatrix, awgn, hard_decision, index_codeword,
-    rng_stream, snr_to_sigma2, transmit,
+    rng_stream, snr_to_sigma2, STREAM_MATRIX, STREAM_NOISE,
 )
 from srldpc.denoiser import local_posterior
 from srldpc.gf import GF2m
@@ -64,7 +64,7 @@ def test_hard_decision_tie_rule():
 
 def test_transmit_zero(desk):
     _, _, _, A = desk
-    assert np.all(transmit(np.zeros(A.n_cols), A) == 0)
+    assert np.all(A.matvec(np.zeros(A.n_cols)) == 0)
 
 
 def test_transmit_one_hot_column_sum(desk):
@@ -72,10 +72,10 @@ def test_transmit_one_hot_column_sum(desk):
     rng = np.random.default_rng(2)
     v = rng.integers(0, field.q, size=code.L)
     s = index_codeword(v, field.q)
-    x = transmit(s, A)
+    x = A.matvec(s)
     manual = np.zeros(A.n)
     for l in range(code.L):
-        manual += A.column(l * field.q + v[l])
+        manual += A._A[:, l * field.q + v[l]]
     assert np.allclose(x, manual, atol=1e-5)
 
 
@@ -88,7 +88,7 @@ def test_transmit_energy_near_L(desk):
         A = DesignMatrix(600, field.q * code.L, seed=1000 + seed)
         for _ in range(20):
             v = enc.encode(rng.integers(0, field.q, size=enc.k))
-            x = transmit(index_codeword(v, field.q), A)
+            x = A.matvec(index_codeword(v, field.q))
             energies.append(x @ x)
     energies = np.asarray(energies)
     sem = energies.std(ddof=1) / np.sqrt(len(energies))
@@ -109,15 +109,13 @@ def test_matrix_deterministic():
     assert not np.array_equal(A1._A, A3._A)
 
 
-def test_on_the_fly_matches_dense():
+def test_column_is_its_own_seeded_stream():
+    """Column j of a seeded matrix is regenerable from its own stream."""
     A = DesignMatrix(40, 96, seed=11)
-    B = DesignMatrix(40, 96, seed=11, dense=False, chunk=17)
-    rng = np.random.default_rng(4)
-    s = rng.standard_normal(96)
-    z = rng.standard_normal(40)
-    assert np.allclose(A.matvec(s), B.matvec(s), atol=1e-5)
-    assert np.allclose(A.rmatvec(z), B.rmatvec(z), atol=1e-5)
-    assert np.allclose(A.column(37), B.column(37), atol=1e-7)
+    for j in (0, 1, 37, A.n_cols - 1):
+        col = rng_stream(A.seed, STREAM_MATRIX, j).standard_normal(A.n)
+        expected = (col * (1 / np.sqrt(A.n))).astype(np.float32)
+        assert np.array_equal(A._A[:, j], expected)
 
 
 def test_matvec_shape_checks(desk):
@@ -134,24 +132,25 @@ def test_matvec_shape_checks(desk):
 
 def test_awgn_small_variance_limit():
     x = np.linspace(-1, 1, 100)
-    y = awgn(x, 1e-30, seed=0)
+    y = awgn(x, 1e-30, rng=rng_stream(0, STREAM_NOISE))
     assert np.abs(y - x).max() < 1e-12
 
 
 def test_awgn_empirical_variance():
     x = np.zeros(10 ** 5)
-    y = awgn(x, 0.37, seed=1)
+    y = awgn(x, 0.37, rng=rng_stream(1, STREAM_NOISE))
     assert abs(y.var() - 0.37) / 0.37 < 0.02
 
 
 def test_awgn_deterministic():
     x = np.ones(64)
-    assert np.array_equal(awgn(x, 0.5, seed=3), awgn(x, 0.5, seed=3))
+    assert np.array_equal(awgn(x, 0.5, rng=rng_stream(3, STREAM_NOISE)),
+                          awgn(x, 0.5, rng=rng_stream(3, STREAM_NOISE)))
 
 
 def test_awgn_rejects_nonpositive_variance():
     with pytest.raises(ValueError):
-        awgn(np.ones(4), 0.0, seed=0)
+        awgn(np.ones(4), 0.0, rng=rng_stream(0, STREAM_NOISE))
 
 
 def test_snr_to_sigma2_unit_point():
@@ -235,8 +234,8 @@ def test_noiseless_round_trip_desk_scale(desk):
     rng = np.random.default_rng(7)
     bits = rng.integers(0, 2, size=480)
     v = enc.encode(bits_to_symbols(bits, field.m))
-    x = transmit(index_codeword(v, field.q), A)
-    y = awgn(x, 1e-12, seed=8)
+    x = A.matvec(index_codeword(v, field.q))
+    y = awgn(x, 1e-12, rng=rng_stream(8, STREAM_NOISE))
     params = DecoderParams(amp_iters=25, final_bp_iters=50,
                            schedule=Schedule("bpn"), tau2_floor=1e-14)
     res = decode(y, A, code, enc, params)

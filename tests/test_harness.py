@@ -20,7 +20,7 @@ SMALL = dict(m=3, L=24, P=6, dv=2, B=54, n=120, amp_iters=8,
 
 @pytest.fixture(scope="module")
 def psi8():
-    return get_psi(8, samples=50_000, seed=0)
+    return get_psi(8, samples=50_000)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,12 @@ from srldpc.state_evolution import (
 
 @pytest.fixture(scope="module")
 def psi16():
-    return get_psi(16, samples=50_000, seed=0)
+    return get_psi(16, samples=50_000)
 
 
 @pytest.fixture(scope="module")
 def psi8():
-    return get_psi(8, samples=50_000, seed=0)
+    return get_psi(8, samples=50_000)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +177,13 @@ def test_se_more_bp_rounds_never_hurt(psi16):
     t_bp0 = approximate_se(code, 600, sigma2, 10, Schedule("bp0"), psi=psi16)
     t_bpn = approximate_se(code, 600, sigma2, 10, Schedule("bpn"), psi=psi16)
     assert np.all(t_bpn.tau2 <= t_bp0.tau2 + 1e-12)
+
+
+def test_se_rejects_psi_for_other_field(psi8):
+    field = GF2m(4)
+    code, _ = build_code(field, L=128, P=8, dv=3, seed=5)
+    with pytest.raises(ValueError, match="q=8"):
+        approximate_se(code, 600, 0.04, 5, Schedule("bpn"), psi=psi8)
 
 
 # ---------------------------------------------------------------------------
