@@ -13,6 +13,7 @@ import numpy as np
 from .amp import decode
 from .harness import (
     ConfigError, load_config, sweep, se_predict, se_vs_truth, rate_sweep,
+    rate_candidates,
     build_experiment, channel_input, claim_output, decoder_params,
     design_matrix, read_input, write_se_csv, write_rate_csv,
 )
@@ -114,9 +115,8 @@ def _cmd_tune_rate(args):
         raise ConfigError(f"--rates: {exc}") from exc
     if not rates:
         raise ConfigError("no rates given")
-    for r in rates:
-        if not 0 < r <= 1:
-            raise ConfigError(f"rate {r} outside (0, 1]")
+    # rejects bad rates and an all-infeasible set before --out is created
+    rate_candidates(cfg, rates)
     claim_output(args.out)
     rows = rate_sweep(cfg, rates)
     if not rows:

@@ -14,6 +14,8 @@ STREAM_LABELS = 1
 STREAM_NOISE = 2
 STREAM_BITS = 3
 
+COLUMN_BLOCK = 256    # columns DesignMatrix draws before writing them out
+
 
 def rng_stream(seed, *key):
     """Independent reproducible generator for a (seed, key...) pair."""
@@ -52,12 +54,19 @@ class DesignMatrix:
         self.n = int(n)
         self.n_cols = int(n_cols)
         self.seed = seed
-        cols = np.empty((self.n, self.n_cols), dtype=np.float32, order="F")
+        # Columns are drawn into a small block of rows and written into
+        # the row-major matrix a block at a time, so the build holds the
+        # matrix once.
+        self._A = np.empty((self.n, self.n_cols), dtype=np.float32)
+        block = np.empty((min(COLUMN_BLOCK, self.n_cols), self.n),
+                         dtype=np.float32)
         scale = 1.0 / np.sqrt(self.n)
-        for j in range(self.n_cols):
-            rng = rng_stream(self.seed, STREAM_MATRIX, j)
-            cols[:, j] = rng.standard_normal(self.n) * scale
-        self._A = np.ascontiguousarray(cols)
+        for start in range(0, self.n_cols, len(block)):
+            stop = min(start + len(block), self.n_cols)
+            for j in range(start, stop):
+                rng = rng_stream(self.seed, STREAM_MATRIX, j)
+                block[j - start] = rng.standard_normal(self.n) * scale
+            self._A[:, start:stop] = block[:stop - start].T
 
     def matvec(self, s):
         """A @ s for a length-n_cols vector."""

@@ -20,6 +20,7 @@ one-by-one loop, and no trial past it is decoded.
 import json
 import subprocess
 import time
+import warnings
 from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
@@ -31,7 +32,7 @@ from .codec import (
 )
 from .denoiser import Schedule
 from .gf import GF2m
-from .ldpc import build_code, bits_to_symbols
+from .ldpc import build_code, bits_to_symbols, check_peg_profile
 from .state_evolution import approximate_se, tune_rate
 
 RESULTS_HEADER = ("ebno_db,trials,bit_errors,ber,codeword_errors,cer,"
@@ -82,6 +83,12 @@ class SimConfig:
             raise ConfigError("m must be at most 8")
         if self.P < 0:
             raise ConfigError("P must be nonnegative")
+        if self.P:
+            try:
+                check_peg_profile(self.L, self.P, self.dv)
+            except ValueError as exc:
+                raise ConfigError(f"cannot build the outer code: {exc}") \
+                    from exc
         if self.final_bp_iters < 0:
             raise ConfigError("final_bp_iters must be nonnegative")
         if self.matrix_policy not in MATRIX_POLICIES:
@@ -488,21 +495,39 @@ def write_se_vs_truth_csv(rows, path):
             fh.write(f"{t},{mc:.8e},{se:.8e},{rel:.6e}\n")
 
 
-def rate_sweep(cfg, rates, psi=None):
-    """Outer-rate candidates for tune_rate at fixed B and n.
+def rate_candidates(cfg, rates):
+    """Sorted (L, P) pairs of the outer rates at fixed B.
 
     Rates map to (L, P) pairs through the fixed message-symbol count
-    k = B / m; infeasible pairs are skipped by tune_rate.
+    k = B / m.  Pairs whose outer code PEG cannot build (P >= 1 with
+    dv > P) are skipped with a warning; a rate outside (0, 1] or no pair
+    left is a config error.
     """
-    field = cfg.field()
-    k = cfg.B // field.m
-    pairs = []
+    k = cfg.B // cfg.m
+    pairs = set()
     for r in rates:
         if not 0 < r <= 1:
             raise ConfigError(f"rate {r} outside (0, 1]")
         L = int(round(k / r))
-        pairs.append((L, L - k))
-    pairs = sorted(set(pairs))
+        if L == k:
+            pairs.add((L, 0))
+            continue
+        try:
+            check_peg_profile(L, L - k, cfg.dv)
+        except ValueError as exc:
+            warnings.warn(f"skipping (L={L}, P={L - k}): {exc}")
+            continue
+        pairs.add((L, L - k))
+    if not pairs:
+        raise ConfigError("no feasible (L, P) candidates")
+    return sorted(pairs)
+
+
+def rate_sweep(cfg, rates, psi=None):
+    """Approximate-SE residual of each feasible outer-rate candidate at
+    fixed B and n (see rate_candidates), tuned at the first Eb/N0."""
+    field = cfg.field()
+    pairs = rate_candidates(cfg, rates)
     ebno = cfg.ebno_db[0]
     return tune_rate(field, pairs, cfg.B, cfg.n, cfg.dv, ebno,
                      schedule=Schedule(cfg.schedule), seed=cfg.label_seed(),

@@ -50,12 +50,11 @@ class LdpcCode:
         self.n_edges = len(self.edge_var)
 
         self._validate()
-        self.var_edges = [
-            np.flatnonzero(self.edge_var == l) for l in range(self.L)
-        ]
-        self.chk_edges = [
-            np.flatnonzero(self.edge_chk == p) for p in range(self.P)
-        ]
+        # Edges are sorted by check, so each check's edges are a run of
+        # ids; a stable sort by variable keeps ids ascending per variable.
+        self.var_edges = _split(np.argsort(self.edge_var, kind="stable"),
+                                self.var_degrees())
+        self.chk_edges = _split(np.arange(self.n_edges), self.chk_degrees())
         self.girth = compute_girth(self) if girth is None else girth
 
     def _validate(self):
@@ -92,6 +91,30 @@ class LdpcCode:
         )
 
 
+def _split(edge_ids, counts):
+    """Consecutive runs of edge_ids with the given lengths, as views."""
+    ends = np.cumsum(counts).tolist()
+    return [edge_ids[end - n:end] for n, end in zip(counts.tolist(), ends)]
+
+
+def _bits(mask):
+    """Indices of the set bits of an int, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def check_peg_profile(L, P, dv):
+    """Raise ValueError unless peg_construct can build (L, P, dv)."""
+    if not (L > P >= 1):
+        raise ValueError(f"need L > P >= 1, got L={L}, P={P}")
+    if dv < 2:
+        raise ValueError(f"need dv >= 2, got dv={dv}")
+    if dv > P:
+        raise ValueError(f"infeasible degree profile: dv={dv} > P={P}")
+
+
 def peg_construct(field, L, P, dv):
     """Build a variable-regular Tanner graph by progressive edge growth.
 
@@ -100,66 +123,68 @@ def peg_construct(field, L, P, dv):
     first).  Ties break toward the lowest-degree check, then the lowest
     index, which makes the construction deterministic.  Labels are
     initialized to 1; use assign_edge_labels for a random labeling.
+
+    The search runs on the check graph, where two checks are adjacent
+    when they share a variable: the BFS from variable v starts at v's
+    checks (depth 0), and a layer is the union of its checks' neighbour
+    sets, each kept as an int bitmask over the P checks.  An edge to a
+    check at depth d closes a shortest cycle of length 2d + 2, and every
+    cycle is closed by its last edge, so the girth is the least such
+    length over the construction.
     """
-    if not (L > P >= 1):
-        raise ValueError(f"need L > P >= 1, got L={L}, P={P}")
-    if dv < 2:
-        raise ValueError(f"need dv >= 2, got dv={dv}")
-    if dv > P:
-        raise ValueError(f"infeasible degree profile: dv={dv} > P={P}")
+    check_peg_profile(L, P, dv)
 
-    var_adj = [[] for _ in range(L)]
-    chk_adj = [[] for _ in range(P)]
-    chk_deg = np.zeros(P, dtype=np.int64)
+    every = (1 << P) - 1
+    chk_nbrs = [0] * P     # checks sharing a variable with each check
+    by_deg = [every, 0]    # by_deg[d]: the checks of degree d
+    low_deg = 0            # the lowest degree of any check
+    edge_chk = []
+    girth = math.inf
 
-    for v in range(L):
-        for k in range(dv):
-            if k == 0:
-                candidates = range(P)
+    for _ in range(L):
+        own = 0            # this variable's checks so far
+        for _ in range(dv):
+            seen = layer = own
+            depth = 0
+            while seen != every:
+                reach = 0
+                for p in _bits(layer):
+                    reach |= chk_nbrs[p]
+                reach &= ~seen
+                if not reach:
+                    break
+                seen |= reach
+                layer = reach
+                depth += 1
+            if seen != every:
+                candidates = every & ~seen
             else:
-                depth = _check_depths(v, var_adj, chk_adj, P)
-                if np.any(depth < 0):
-                    candidates = np.flatnonzero(depth < 0)
-                else:
-                    candidates = np.flatnonzero(depth == depth.max())
-                candidates = [c for c in candidates if c not in var_adj[v]]
-                if not candidates:
-                    raise ValueError(
-                        f"no check available for variable {v} edge {k}"
-                    )
-            c = min(candidates, key=lambda p: (chk_deg[p], p))
-            var_adj[v].append(c)
-            chk_adj[c].append(v)
-            chk_deg[c] += 1
+                # depth >= 1 here, since dv <= P leaves a check outside own
+                candidates = layer
+                girth = min(girth, 2 * depth + 2)
+
+            d = low_deg
+            while not candidates & by_deg[d]:
+                d += 1
+            pick = candidates & by_deg[d]
+            bit = pick & -pick
+            c = bit.bit_length() - 1
+            by_deg[d] ^= bit
+            by_deg[d + 1] |= bit
+            if d + 2 == len(by_deg):
+                by_deg.append(0)
+            while not by_deg[low_deg]:
+                low_deg += 1
+
+            for p in _bits(own):
+                chk_nbrs[p] |= bit
+            chk_nbrs[c] |= own
+            own |= bit
+            edge_chk.append(c)
 
     edge_var = np.repeat(np.arange(L), dv)
-    edge_chk = np.concatenate([np.asarray(a) for a in var_adj])
     edge_label = np.ones(L * dv, dtype=np.int64)
-    return LdpcCode(field, L, P, edge_var, edge_chk, edge_label)
-
-
-def _check_depths(v, var_adj, chk_adj, P):
-    """BFS depths of all check nodes from variable v; -1 if unreachable."""
-    depth = np.full(P, -1, dtype=np.int64)
-    seen_v = np.zeros(len(var_adj), dtype=bool)
-    seen_v[v] = True
-    frontier = [v]
-    d = 0
-    while frontier:
-        new_checks = []
-        for vv in frontier:
-            for c in var_adj[vv]:
-                if depth[c] < 0:
-                    depth[c] = d
-                    new_checks.append(c)
-        frontier = []
-        for c in new_checks:
-            for vv in chk_adj[c]:
-                if not seen_v[vv]:
-                    seen_v[vv] = True
-                    frontier.append(vv)
-        d += 1
-    return depth
+    return LdpcCode(field, L, P, edge_var, edge_chk, edge_label, girth=girth)
 
 
 def compute_girth(code):

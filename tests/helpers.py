@@ -9,7 +9,10 @@ reference_estimate keep the earlier node-major form of the BP round
 (cumprod exclusive products, take_along_axis label permutations,
 boolean-mask gathers), which does the same floating-point operations in
 the same order as the shipped slot-major round, so the two must agree
-bit for bit.
+bit for bit.  reference_peg_construct is the earlier form of
+ldpc.peg_construct, a variable/check BFS per placed edge with the girth
+left to compute_girth; the shipped construction must give the same
+edges and girth.
 """
 
 import itertools
@@ -19,7 +22,7 @@ import numpy as np
 from srldpc.denoiser import (
     MSG_FLOOR, BpDenoiser, Schedule, _pad_adjacency, hadamard_matrix,
 )
-from srldpc.ldpc import LdpcCode, syndrome_check
+from srldpc.ldpc import LdpcCode, check_peg_profile, syndrome_check
 
 
 def check_round_message(incoming, out_label, field):
@@ -163,3 +166,58 @@ def reference_estimate(code, alpha, c2v):
     var_pad, _ = _pad_adjacency(code.var_edges, code.n_edges)
     gathered = np.vstack([c2v, np.ones((1, code.field.q))])[var_pad]
     return _reference_normalize(gathered.prod(axis=1) * alpha)
+
+
+def reference_peg_construct(field, L, P, dv):
+    """Progressive edge growth by a full BFS over the Tanner graph from
+    each variable before each of its edges after the first; the code's
+    girth comes from compute_girth."""
+    check_peg_profile(L, P, dv)
+    var_adj = [[] for _ in range(L)]
+    chk_adj = [[] for _ in range(P)]
+    chk_deg = np.zeros(P, dtype=np.int64)
+
+    for v in range(L):
+        for k in range(dv):
+            if k == 0:
+                candidates = range(P)
+            else:
+                depth = _reference_check_depths(v, var_adj, chk_adj, P)
+                if np.any(depth < 0):
+                    candidates = np.flatnonzero(depth < 0)
+                else:
+                    candidates = np.flatnonzero(depth == depth.max())
+                candidates = [c for c in candidates if c not in var_adj[v]]
+            c = min(candidates, key=lambda p: (chk_deg[p], p))
+            var_adj[v].append(c)
+            chk_adj[c].append(v)
+            chk_deg[c] += 1
+
+    edge_var = np.repeat(np.arange(L), dv)
+    edge_chk = np.concatenate([np.asarray(a) for a in var_adj])
+    edge_label = np.ones(L * dv, dtype=np.int64)
+    return LdpcCode(field, L, P, edge_var, edge_chk, edge_label)
+
+
+def _reference_check_depths(v, var_adj, chk_adj, P):
+    """BFS depths of all check nodes from variable v; -1 if unreachable."""
+    depth = np.full(P, -1, dtype=np.int64)
+    seen_v = np.zeros(len(var_adj), dtype=bool)
+    seen_v[v] = True
+    frontier = [v]
+    d = 0
+    while frontier:
+        new_checks = []
+        for vv in frontier:
+            for c in var_adj[vv]:
+                if depth[c] < 0:
+                    depth[c] = d
+                    new_checks.append(c)
+        frontier = []
+        for c in new_checks:
+            for vv in chk_adj[c]:
+                if not seen_v[vv]:
+                    seen_v[vv] = True
+                    frontier.append(vv)
+        d += 1
+    return depth
