@@ -499,8 +499,8 @@ def rate_candidates(cfg, rates):
     """Sorted (L, P) pairs of the outer rates at fixed B.
 
     Rates map to (L, P) pairs through the fixed message-symbol count
-    k = B / m.  Pairs whose outer code PEG cannot build (P >= 1 with
-    dv > P) are skipped with a warning; a rate outside (0, 1] or no pair
+    k = B / m.  Pairs whose outer code PEG cannot build (P >= 1 needs
+    P >= dv >= 2) are skipped with a warning; a rate outside (0, 1] or no pair
     left is a config error.
     """
     k = cfg.B // cfg.m
@@ -509,11 +509,9 @@ def rate_candidates(cfg, rates):
         if not 0 < r <= 1:
             raise ConfigError(f"rate {r} outside (0, 1]")
         L = int(round(k / r))
-        if L == k:
-            pairs.add((L, 0))
-            continue
         try:
-            check_peg_profile(L, L - k, cfg.dv)
+            if L > k:
+                check_peg_profile(L, L - k, cfg.dv)
         except ValueError as exc:
             warnings.warn(f"skipping (L={L}, P={L - k}): {exc}")
             continue

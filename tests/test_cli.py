@@ -257,6 +257,33 @@ def test_se_non_finite_ebno_exit_1(tmp_path, cfg_path, argv, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_se_infeasible_degree_profile_exit_1(tmp_path, cfg_path, capsys):
+    """A config whose outer code PEG cannot build (dv=7 > P=6) is
+    rejected when loaded, before --out is created."""
+    path = tmp_path / "dv7.txt"
+    path.write_text(open(cfg_path).read().replace("dv=2", "dv=7"))
+    out = tmp_path / "out.csv"
+    rc = main(["se", "--config", str(path), "--ebno", "8", "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    assert "dv=7 > P=6" in capsys.readouterr().err
+
+
+def test_tune_rate_no_feasible_candidate_exit_1(tmp_path, capsys):
+    """Rate 0.944 maps to (L=36, P=2), infeasible with dv=3; with no
+    candidate left tune-rate fails before --out is created."""
+    path = tmp_path / "cfg.txt"
+    save_config(SimConfig(**{**SMALL, "m": 4, "L": 40, "P": 6, "dv": 3,
+                             "B": 136}), path)
+    out = tmp_path / "rates.csv"
+    with pytest.warns(UserWarning, match="skipping"):
+        rc = main(["tune-rate", "--config", str(path), "--rates", "0.944",
+                   "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    assert "no feasible (L, P) candidates" in capsys.readouterr().err
+
+
 def test_unwritable_out_fails_before_any_trial(tmp_path, cfg_path,
                                                monkeypatch, capsys):
     """An --out that cannot be opened is a config error, raised before

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from srldpc.codec import (
-    DesignMatrix, awgn, hard_decision, index_codeword,
+    COLUMN_BLOCK, DesignMatrix, awgn, hard_decision, index_codeword,
     rng_stream, snr_to_sigma2, STREAM_MATRIX, STREAM_NOISE,
 )
 from srldpc.denoiser import local_posterior
@@ -110,12 +112,27 @@ def test_matrix_deterministic():
 
 
 def test_column_is_its_own_seeded_stream():
-    """Column j of a seeded matrix is regenerable from its own stream."""
-    A = DesignMatrix(40, 96, seed=11)
-    for j in (0, 1, 37, A.n_cols - 1):
-        col = rng_stream(A.seed, STREAM_MATRIX, j).standard_normal(A.n)
-        expected = (col * (1 / np.sqrt(A.n))).astype(np.float32)
-        assert np.array_equal(A._A[:, j], expected)
+    """Column j of a seeded matrix is regenerable from its own stream,
+    also across the blocks of columns the matrix is built in."""
+    for n_cols in (96, 3 * COLUMN_BLOCK + 5):
+        A = DesignMatrix(40, n_cols, seed=11)
+        assert A._A.flags["C_CONTIGUOUS"]
+        for j in {0, 1, 37, COLUMN_BLOCK - 1, COLUMN_BLOCK,
+                  2 * COLUMN_BLOCK + 1, n_cols - 1} & set(range(n_cols)):
+            col = rng_stream(A.seed, STREAM_MATRIX, j).standard_normal(A.n)
+            expected = (col * (1 / np.sqrt(A.n))).astype(np.float32)
+            assert np.array_equal(A._A[:, j], expected)
+
+
+def test_design_matrix_build_holds_one_copy():
+    """Building the matrix allocates little beyond the matrix itself."""
+    tracemalloc.start()
+    try:
+        A = DesignMatrix(300, 4096, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * A._A.nbytes
 
 
 def test_matvec_shape_checks(desk):

@@ -11,6 +11,8 @@ from srldpc.ldpc import (
     save_code, symbols_to_bits, syndrome_check,
 )
 
+from helpers import reference_peg_construct
+
 
 @pytest.fixture(scope="module")
 def desk_code():
@@ -40,10 +42,47 @@ def test_peg_no_parallel_edges_girth_at_least_4():
 
 
 def test_peg_infeasible_profile():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"infeasible degree profile: "
+                                         r"dv=4 > P=3"):
         peg_construct(GF2m(2), L=6, P=3, dv=4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"need L > P >= 1, got L=3, P=3"):
         peg_construct(GF2m(2), L=3, P=3, dv=2)
+    with pytest.raises(ValueError, match=r"need L > P >= 1, got L=6, P=0"):
+        peg_construct(GF2m(2), L=6, P=0, dv=2)
+    with pytest.raises(ValueError, match=r"need dv >= 2, got dv=1"):
+        peg_construct(GF2m(2), L=6, P=3, dv=1)
+
+
+# The rate-sweep candidates at the desk message size (L=124..159,
+# P=L-120), the desk code, the paper's code, and dv=2..6 with P just
+# above dv and just below L.
+PEG_ORACLE_CASES = (
+    [(L, L - 120, 3) for L in range(124, 160)]
+    + [(128, 8, 3), (766, 30, 3)]
+    + [(L, P, dv) for dv in range(2, 7)
+       for L, P in ((dv + 1, dv), (40, dv), (40, dv + 1), (40, 39),
+                    (dv + 2, dv + 1))]
+)
+
+
+@pytest.mark.parametrize("L,P,dv", PEG_ORACLE_CASES,
+                         ids=[f"L{L}-P{P}-dv{dv}"
+                              for L, P, dv in PEG_ORACLE_CASES])
+def test_peg_matches_reference_bfs(L, P, dv):
+    """The check-graph bitmask PEG places every edge where the variable/
+    check BFS does, and the girth it records is compute_girth's."""
+    field = GF2m(4)
+    code = peg_construct(field, L, P, dv)
+    ref = reference_peg_construct(field, L, P, dv)
+    assert np.array_equal(code.edge_var, ref.edge_var)
+    assert np.array_equal(code.edge_chk, ref.edge_chk)
+    assert code.girth == ref.girth == compute_girth(code)
+    for l in range(L):
+        assert np.array_equal(code.var_edges[l],
+                              np.flatnonzero(code.edge_var == l))
+    for p in range(P):
+        assert np.array_equal(code.chk_edges[p],
+                              np.flatnonzero(code.edge_chk == p))
 
 
 def test_peg_reference_scale_shape():
