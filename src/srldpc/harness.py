@@ -33,7 +33,9 @@ from .codec import (
 from .denoiser import Schedule
 from .gf import GF2m
 from .ldpc import build_code, bits_to_symbols, check_peg_profile
-from .state_evolution import approximate_se, tune_rate
+from .state_evolution import (
+    approximate_se, build_candidates, score_candidates,
+)
 
 RESULTS_HEADER = ("ebno_db,trials,bit_errors,ber,codeword_errors,cer,"
                   "mean_amp_iters,mean_tau2_final,wall_s")
@@ -435,8 +437,12 @@ def _write_plot_spec(cfg, rows, out_csv):
 def se_predict(cfg, ebno_db, psi=None):
     """Approximate-SE trajectory of cfg.amp_iters iterations at one SNR."""
     _, code, _ = build_experiment(cfg)
-    sigma2 = _sigma2(cfg, ebno_db)
-    return approximate_se(code, cfg.n, sigma2, cfg.amp_iters,
+    return se_predict_code(cfg, code, ebno_db, psi=psi)
+
+
+def se_predict_code(cfg, code, ebno_db, psi=None):
+    """se_predict on the config's outer code, already built."""
+    return approximate_se(code, cfg.n, _sigma2(cfg, ebno_db), cfg.amp_iters,
                           Schedule(cfg.schedule), psi=psi)
 
 
@@ -476,8 +482,7 @@ def se_vs_truth(cfg, ebno_db, trials, psi=None, out_csv=None):
             range(start, min(start + BATCH, trials)))
     ]), axis=0)
 
-    se_trace = approximate_se(code, cfg.n, sigma2, T, Schedule(cfg.schedule),
-                              psi=psi)
+    se_trace = se_predict_code(cfg, code, ebno_db, psi=psi)
     rows = []
     for t in range(T + 1):
         mc = float(tau2_mc[t])
@@ -521,15 +526,29 @@ def rate_candidates(cfg, rates):
     return sorted(pairs)
 
 
+def rate_codes(cfg, rates):
+    """Outer codes of the feasible rate candidates (see rate_candidates)
+    as (L, P, code) triples, all built before any SE work.  A candidate
+    whose code fails to build (a rank-deficient parity matrix) is skipped
+    with a warning; none left is a config error."""
+    built = build_candidates(cfg.field(), rate_candidates(cfg, rates),
+                             cfg.B, cfg.dv, cfg.label_seed())
+    if not built:
+        raise ConfigError("no feasible (L, P) candidates")
+    return built
+
+
 def rate_sweep(cfg, rates, psi=None):
     """Approximate-SE residual of each feasible outer-rate candidate at
-    fixed B and n (see rate_candidates), tuned at the first Eb/N0."""
-    field = cfg.field()
-    pairs = rate_candidates(cfg, rates)
-    ebno = cfg.ebno_db[0]
-    return tune_rate(field, pairs, cfg.B, cfg.n, cfg.dv, ebno,
-                     schedule=Schedule(cfg.schedule), seed=cfg.label_seed(),
-                     psi=psi)
+    fixed B and n (see rate_codes), tuned at the first Eb/N0."""
+    return score_rate_codes(cfg, rate_codes(cfg, rates), psi=psi)
+
+
+def score_rate_codes(cfg, built, psi=None):
+    """rate_sweep on candidates rate_codes has built: one batched SE
+    recursion over all of them."""
+    return score_candidates(built, cfg.B, cfg.n, cfg.ebno_db[0],
+                            schedule=Schedule(cfg.schedule), psi=psi)
 
 
 def write_rate_csv(rows, path):

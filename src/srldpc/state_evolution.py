@@ -9,6 +9,16 @@ function of effective noise variance tau^2), combine them harmonically,
 and map back.  The per-iteration output MSE then advances tau^2 via
 tau_{t+1}^2 = sigma^2 + (1/n) sum_l MSE_l.
 
+approximate_se_batch runs the recursion for several codes at once, in
+lockstep on the disjoint union of their graphs, so that a rate sweep
+pays the per-call numpy overhead of each round once instead of once per
+candidate; approximate_se is a batch of one.  The check round takes its
+exclusive products over a ragged slot-major layout of the checks sorted
+by degree (no padding to the widest check), and each code's tau^2
+update sums only its own sections, so every product and sum keeps the
+association it has for one code alone and each trajectory is bitwise
+the one the code gets alone.
+
 Psi has no closed form; it is estimated by Monte-Carlo on a log-spaced
 tau^2 grid and smoothed isotonically.
 """
@@ -21,12 +31,15 @@ import numpy as np
 from scipy.optimize import isotonic_regression
 
 from .codec import rng_stream, snr_to_sigma2
-from .denoiser import _pad_adjacency
+from .denoiser import Schedule
 from .ldpc import build_code
 
 PSI_GRID = (1e-4, 1e3, 64)
 PSI_SAMPLES = 200_000
 PSI_REBUILDS = 2
+# Widest run of checks whose SE check-round products are one cumprod
+# along the slots rather than a Python loop of per-slot products.
+PRODUCT_BLOCK_WIDTH = 64
 
 
 class PsiTable:
@@ -156,48 +169,71 @@ class SeTrace:
 
 
 def approximate_se(code, n, sigma2, T, schedule, psi=None):
-    """Run the scalar recursion for T AMP iterations.
+    """Run the scalar recursion for T AMP iterations: approximate_se_batch
+    on one code.
 
     Graph messages reset to uninformative at the start of every modeled
     AMP iteration (the keep-graph schedule has no scalar model; its
     round count is still honored).  A Psi table built for another field
     size is an error.
     """
-    q = code.field.q
+    return approximate_se_batch([code], n, [sigma2], T, schedule, psi)[0]
+
+
+def approximate_se_batch(codes, n, sigma2s, T, schedule, psi=None):
+    """approximate_se of each code at its own sigma^2, run in lockstep.
+
+    One recursion runs on the disjoint union of the codes' graphs, with
+    tau^2 and sigma^2 kept per code, so the numpy calls of a round are
+    shared by all trajectories.  Every sum and product keeps the
+    association it has for one code alone (each tau^2 update sums its
+    own code's section MSEs), so each trace is bitwise the one the code
+    gets alone.  The codes must share one field.
+    """
+    if not codes:
+        return []
+    q = codes[0].field.q
+    if any(code.field.q != q for code in codes):
+        raise ValueError("the codes are over different fields")
     if psi is None:
         psi = get_psi(q)
     elif psi.q != q:
         raise ValueError(f"Psi table is for q={psi.q}, the code is over "
                          f"GF({q})")
-    L, E = code.L, code.n_edges
-    edge_var = code.edge_var
-    if E:
-        check_maps = _se_check_maps(code)
+    graph = _SeGraph(codes)
+    sigma2 = np.asarray(sigma2s, dtype=np.float64)
 
-    tau2 = sigma2 + L / n
+    tau2 = sigma2 + graph.L / n
     trace = [tau2]
-    c2v_l2 = np.full(E, 1.0 / q)
-    section_mse = np.full(L, 1.0 - 1.0 / q)
+    c2v_l2 = np.full(graph.n_edges, 1.0 / q)
+    section_mse = np.full(graph.n_vars, 1.0 - 1.0 / q)
 
     for t in range(T):
-        c2v_l2 = np.full(E, 1.0 / q)
-        if E:
+        c2v_l2 = np.full(graph.n_edges, 1.0 / q)
+        if graph.n_edges:
             for _ in range(schedule.rounds(t)):
-                v2c_l2 = _se_variable_round(psi, tau2, c2v_l2, edge_var, L)
-                c2v_l2 = _se_check_round(q, v2c_l2, check_maps)
+                v2c_l2 = graph.variable_round(psi, tau2, c2v_l2)
+                c2v_l2 = graph.check_round(v2c_l2)
         # Output: combine the AMP observation with all check neighbors.
-        inv_sum = _per_var_inv_sum(_inv_tau2(psi, c2v_l2), edge_var, L)
-        tau2_out = 1.0 / (1.0 / tau2 + inv_sum)
+        inv_sum = graph.var_sum(_inv_tau2(psi, c2v_l2))
+        tau2_out = 1.0 / ((1.0 / tau2)[graph.var_code] + inv_sum)
         section_mse = 1.0 - np.asarray(psi.value(tau2_out))
-        tau2 = sigma2 + section_mse.sum() / n
+        mse_sums = np.array([section_mse[code_vars].sum()
+                             for code_vars in graph.var_slices])
+        tau2 = sigma2 + mse_sums / n
         trace.append(tau2)
 
-    return SeTrace(
-        tau2=np.asarray(trace),
-        edge_mse=1.0 - c2v_l2,
-        section_mse=section_mse,
-        converged=bool(trace[-1] - sigma2 < 1e-4 * sigma2),
-    )
+    trace = np.stack(trace, axis=1)
+    edge_mse = 1.0 - c2v_l2
+    return [
+        SeTrace(
+            tau2=trace[i],
+            edge_mse=edge_mse[graph.edge_slices[i]],
+            section_mse=section_mse[graph.var_slices[i]],
+            converged=bool(trace[i, -1] - sigma2[i] < 1e-4 * sigma2[i]),
+        )
+        for i in range(len(codes))
+    ]
 
 
 def _inv_tau2(psi, c2v_l2):
@@ -206,53 +242,148 @@ def _inv_tau2(psi, c2v_l2):
         return 1.0 / np.asarray(psi.inverse(c2v_l2))
 
 
-def _per_var_inv_sum(inv_edge, edge_var, L):
-    """Sum of the per-edge values over each variable's incoming edges."""
-    out = np.zeros(L)
-    np.add.at(out, edge_var, inv_edge)
-    return out
+class _SeGraph:
+    """Disjoint union of Tanner graphs, laid out for the SE rounds.
 
-
-def _se_variable_round(psi, tau2, c2v_l2, edge_var, L):
-    inv_edge = _inv_tau2(psi, c2v_l2)
-    inv_sum = _per_var_inv_sum(inv_edge, edge_var, L)
-    tilde = 1.0 / (1.0 / tau2 + inv_sum[edge_var] - inv_edge)
-    return np.asarray(psi.value(tilde))
-
-
-def _se_check_maps(code):
-    """Per-edge prefactor and padded (check, slot) layout of the check
-    round.  The prefactor is (q/(q-1))^(deg-2): the check rule with one
-    incoming message fewer than the check degree."""
-    q, E = code.field.q, code.n_edges
-    edge_factor = (q / (q - 1.0)) ** (code.chk_degrees()[code.edge_chk] - 2.0)
-    chk_pad, chk_mask = _pad_adjacency(code.chk_edges, E)
-    return edge_factor, chk_pad, chk_mask, chk_pad[chk_mask]
-
-
-def _se_check_round(q, v2c_l2, check_maps):
-    edge_factor, chk_pad, chk_mask, edge_order = check_maps
-    centered = np.append(v2c_l2 - 1.0 / q, 1.0)
-    prods = _excl_prod_rows(centered[chk_pad])
-    excl = np.empty(v2c_l2.size)
-    excl[edge_order] = prods[chk_mask]
-    out = 1.0 / q + edge_factor * excl
-    return np.clip(out, 1.0 / q, 1.0)
-
-
-def _excl_prod_rows(a):
-    """Products along axis 1 of a 2-D array, each entry excluded.
-
-    A cumprod along the contiguous slot axis suits these scalar
-    (checks, slots) arrays; the denoiser's (slots, nodes, q) stacks loop
-    over slots instead.
+    Variables and edges of code i follow those of codes 0..i-1, each
+    code keeping its own order.  The check round gathers the edges into
+    a ragged slot-major layout: checks sorted by falling degree, slot s
+    holding the first counts[s] checks (those of degree above s), so the
+    layout has exactly one entry per edge and slot s + 1 is a prefix of
+    slot s.  A run of slots with equal counts is a contiguous (slots,
+    checks) block; _product_steps turns the blocks into running products
+    along the slots, from which each edge takes the product of its
+    check's other inputs.
     """
-    pre = np.ones_like(a)
-    suf = np.ones_like(a)
-    if a.shape[1] > 1:
-        np.cumprod(a[:, :-1], axis=1, out=pre[:, 1:])
-        suf[:, :-1] = np.cumprod(a[:, :0:-1], axis=1)[:, ::-1]
-    return pre * suf
+
+    def __init__(self, codes):
+        q = codes[0].field.q
+        self.q = q
+        L = np.array([code.L for code in codes])
+        E = np.array([code.n_edges for code in codes])
+        var_off = np.concatenate(([0], np.cumsum(L)))
+        edge_off = np.concatenate(([0], np.cumsum(E)))
+        self.L = L
+        self.n_vars, self.n_edges = int(var_off[-1]), int(edge_off[-1])
+        self.var_slices = [slice(a, b) for a, b in
+                           zip(var_off[:-1].tolist(), var_off[1:].tolist())]
+        self.edge_slices = [slice(a, b) for a, b in
+                            zip(edge_off[:-1].tolist(), edge_off[1:].tolist())]
+        self.var_code = np.repeat(np.arange(len(codes)), L)
+        self.edge_code = np.repeat(np.arange(len(codes)), E)
+        self.edge_var = np.concatenate(
+            [code.edge_var + off for code, off in zip(codes, var_off)])
+        # (q/(q-1))^(deg-2): the check rule with one incoming message
+        # fewer than the check degree, computed code by code as each
+        # code alone computes it.
+        self.edge_factor = np.concatenate(
+            [(q / (q - 1.0)) ** (code.chk_degrees()[code.edge_chk] - 2.0)
+             for code in codes])
+        if self.n_edges:
+            self._check_layout(codes, edge_off)
+
+    def _check_layout(self, codes, edge_off):
+        # Each check's edges are a run of ids (codes sort edges by check).
+        degs = np.concatenate([code.chk_degrees() for code in codes])
+        first = np.concatenate([np.cumsum(code.chk_degrees())
+                                - code.chk_degrees() + off
+                                for code, off in zip(codes, edge_off)])
+        order = np.argsort(-degs, kind="stable")
+        degs, first = degs[order], first[order]
+        counts = (degs[:, None] > np.arange(degs[0])).sum(axis=0)
+        offs = np.concatenate(([0], np.cumsum(counts)))
+        E = self.n_edges
+        slot_edge = np.concatenate(
+            [first[:c] + s for s, c in enumerate(counts)])
+        # For entry (s, i): its prefix product sits at (s - 1, i) of the
+        # forward buffer and its suffix product at (s + 1, i) of the
+        # backward one; position E of each buffer holds 1.0.
+        pre_src = np.full(E, E)
+        suf_src = np.full(E, E)
+        for s, c in enumerate(counts):
+            if s:
+                pre_src[offs[s]:offs[s] + c] = offs[s - 1] + np.arange(c)
+            if s + 1 < len(counts):
+                nxt = counts[s + 1]
+                suf_src[offs[s]:offs[s] + nxt] = offs[s + 1] + np.arange(nxt)
+        self._slot_edge = slot_edge
+        self._pre_of_edge = np.empty(E, dtype=np.intp)
+        self._pre_of_edge[slot_edge] = pre_src
+        self._suf_of_edge = np.empty(E, dtype=np.intp)
+        self._suf_of_edge[slot_edge] = suf_src
+
+        self._fwd = np.ones(E + 1)
+        self._bwd = np.ones(E + 1)
+        starts = np.flatnonzero(np.diff(counts, prepend=-1))
+        runs = [(int(offs[a]), int(offs[b]), int(counts[a]))
+                for a, b in zip(starts, np.append(starts[1:], len(counts)))]
+        self._steps = (_product_steps(self._fwd, runs, reverse=False)
+                       + _product_steps(self._bwd, runs, reverse=True))
+
+    def var_sum(self, inv_edge):
+        """Sum of the per-edge values over each variable's incoming edges,
+        added in edge order."""
+        return np.bincount(self.edge_var, weights=inv_edge,
+                           minlength=self.n_vars)
+
+    def variable_round(self, psi, tau2, c2v_l2):
+        """Variable-to-check E||mu||^2 of every edge; tau2 holds each
+        code's AMP noise variance."""
+        inv_edge = _inv_tau2(psi, c2v_l2)
+        inv_sum = self.var_sum(inv_edge)
+        tilde = 1.0 / ((1.0 / tau2)[self.edge_code]
+                       + inv_sum[self.edge_var] - inv_edge)
+        return np.asarray(psi.value(tilde))
+
+    def check_round(self, v2c_l2):
+        """Check-to-variable E||mu||^2 of every edge: the exclusive
+        product of the centered inputs at each check, as prefix and
+        suffix products along the slots."""
+        q, E = self.q, self.n_edges
+        F, G = self._fwd, self._bwd
+        np.take(v2c_l2 - 1.0 / q, self._slot_edge, out=F[:E])
+        G[:E] = F[:E]
+        for src, dst in self._steps:
+            if dst is None:
+                np.multiply.accumulate(src, axis=0, out=src)
+            else:
+                np.multiply(src, dst, out=dst)
+        excl = F[self._pre_of_edge] * G[self._suf_of_edge]
+        out = 1.0 / q + self.edge_factor * excl
+        return np.clip(out, 1.0 / q, 1.0)
+
+
+def _product_steps(buf, runs, reverse):
+    """In-place steps that turn the slot-major inputs in buf into
+    inclusive running products along each check's slots: left to right,
+    or with reverse right to left.
+
+    runs lists (start, end, checks) of each run of slots with equal
+    check counts, by falling count.  A step (src, dst) sets dst to
+    src * dst; a step (block, None) runs a cumprod along the block's
+    slot axis.  The cumprod loops over the block's columns inside numpy
+    and wins on narrow blocks; a block wider than PRODUCT_BLOCK_WIDTH
+    checks is faster as one product per slot.
+    """
+    steps = []
+    order = range(len(runs) - 1, -1, -1) if reverse else range(len(runs))
+    for k in order:
+        lo, hi, c = runs[k]
+        rows = [buf[a:a + c] for a in range(lo, hi, c)]
+        if reverse:
+            if k + 1 < len(runs):
+                nxt = runs[k + 1][2]
+                steps.append((buf[hi:hi + nxt], rows[-1][:nxt]))
+            rows = rows[::-1]
+        elif k:
+            prev = lo - runs[k - 1][2]
+            steps.append((buf[prev:prev + c], rows[0]))
+        if len(rows) > 1 and c <= PRODUCT_BLOCK_WIDTH:
+            block = buf[lo:hi].reshape(-1, c)
+            steps.append((block[::-1] if reverse else block, None))
+        else:
+            steps.extend(zip(rows[:-1], rows[1:]))
+    return steps
 
 
 @dataclass
@@ -277,23 +408,11 @@ def best_candidate(rows):
     return min(rows, key=lambda row: (row.residual, -row.rate))
 
 
-def tune_rate(field, candidates, B, n, dv, ebno_db, T=20,
-              schedule=None, seed=0, psi=None):
-    """Approximate-SE sweep over outer-code rates at fixed B and n.
-
-    candidates is a list of (L, P) pairs with (L - P) * m == B; pairs
-    violating that or failing construction are skipped with a warning.
-    Returns rows sorted by rate, with the residual minimizer first in
-    a separate field via min().
-    """
-    from .denoiser import Schedule
-
-    if schedule is None:
-        schedule = Schedule("bpn")
-    if psi is None:
-        psi = get_psi(field.q)
-
-    rows = []
+def build_candidates(field, candidates, B, dv, seed=0):
+    """Outer codes of the (L, P) candidates, built in order, as (L, P,
+    code) triples; pairs with (L - P) * m != B or failing construction
+    are skipped with a warning."""
+    built = []
     for L, P in candidates:
         if (L - P) * field.m != B:
             warnings.warn(f"skipping (L={L}, P={P}): (L-P)*m != B")
@@ -303,12 +422,38 @@ def tune_rate(field, candidates, B, n, dv, ebno_db, T=20,
         except ValueError as exc:
             warnings.warn(f"skipping (L={L}, P={P}): {exc}")
             continue
-        sigma2 = snr_to_sigma2(ebno_db, B, L)
-        tr = approximate_se(code, n, sigma2, T, schedule, psi)
-        rows.append(RateCandidate(
-            rate=(L - P) / L, L=L, P=P,
-            residual=float(tr.tau2[-1] - sigma2),
-            converged=tr.converged,
-        ))
+        built.append((L, P, code))
+    return built
+
+
+def score_candidates(built, B, n, ebno_db, T=20, schedule=None, psi=None):
+    """Approximate-SE residual of each built (L, P, code) candidate, all
+    run as one approximate_se_batch.  Returns rows sorted by rate;
+    best_candidate picks the residual minimizer."""
+    if schedule is None:
+        schedule = Schedule("bpn")
+    sigma2s = [snr_to_sigma2(ebno_db, B, L) for L, _, _ in built]
+    traces = approximate_se_batch([code for _, _, code in built], n,
+                                  sigma2s, T, schedule, psi)
+    rows = [
+        RateCandidate(rate=(L - P) / L, L=L, P=P,
+                      residual=float(tr.tau2[-1] - sigma2),
+                      converged=tr.converged)
+        for (L, P, _), sigma2, tr in zip(built, sigma2s, traces)
+    ]
     rows.sort(key=lambda row: row.rate)
     return rows
+
+
+def tune_rate(field, candidates, B, n, dv, ebno_db, T=20,
+              schedule=None, seed=0, psi=None):
+    """Approximate-SE sweep over outer-code rates at fixed B and n.
+
+    candidates is a list of (L, P) pairs with (L - P) * m == B; every
+    pair is built first (build_candidates skips, with a warning, pairs
+    violating that or failing construction), then one batched SE
+    recursion scores them all.  Returns rows sorted by rate;
+    best_candidate picks the residual minimizer.
+    """
+    return score_candidates(build_candidates(field, candidates, B, dv, seed),
+                            B, n, ebno_db, T, schedule, psi)

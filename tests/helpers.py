@@ -12,7 +12,10 @@ the same order as the shipped slot-major round, so the two must agree
 bit for bit.  reference_peg_construct is the earlier form of
 ldpc.peg_construct, a variable/check BFS per placed edge with the girth
 left to compute_girth; the shipped construction must give the same
-edges and girth.
+edges and girth.  reference_approximate_se is the earlier one-code
+form of state_evolution.approximate_se (padded cumprod check round,
+np.add.at variable sums); the batched recursion must reproduce its
+trajectories bit for bit.
 """
 
 import itertools
@@ -221,3 +224,50 @@ def _reference_check_depths(v, var_adj, chk_adj, P):
                     frontier.append(vv)
         d += 1
     return depth
+
+
+def reference_approximate_se(code, n, sigma2, T, schedule, psi):
+    """The scalar SE recursion on one code, as (tau2 trace, edge MSEs,
+    section MSEs, converged)."""
+    q = code.field.q
+    L, E = code.L, code.n_edges
+    edge_var = code.edge_var
+    if E:
+        edge_factor = (q / (q - 1.0)) ** (
+            code.chk_degrees()[code.edge_chk] - 2.0)
+        chk_pad, chk_mask = _pad_adjacency(code.chk_edges, E)
+        edge_order = chk_pad[chk_mask]
+
+    def inv_tau2(c2v_l2):
+        with np.errstate(divide="ignore"):
+            return 1.0 / np.asarray(psi.inverse(c2v_l2))
+
+    def per_var_sum(inv_edge):
+        out = np.zeros(L)
+        np.add.at(out, edge_var, inv_edge)
+        return out
+
+    tau2 = sigma2 + L / n
+    trace = [tau2]
+    c2v_l2 = np.full(E, 1.0 / q)
+    section_mse = np.full(L, 1.0 - 1.0 / q)
+    for t in range(T):
+        c2v_l2 = np.full(E, 1.0 / q)
+        if E:
+            for _ in range(schedule.rounds(t)):
+                inv_edge = inv_tau2(c2v_l2)
+                inv_sum = per_var_sum(inv_edge)
+                tilde = 1.0 / (1.0 / tau2 + inv_sum[edge_var] - inv_edge)
+                v2c_l2 = np.asarray(psi.value(tilde))
+                centered = np.append(v2c_l2 - 1.0 / q, 1.0)
+                prods = _reference_excl_prod(centered[chk_pad])
+                excl = np.empty(E)
+                excl[edge_order] = prods[chk_mask]
+                c2v_l2 = np.clip(1.0 / q + edge_factor * excl, 1.0 / q, 1.0)
+        inv_sum = per_var_sum(inv_tau2(c2v_l2))
+        tau2_out = 1.0 / (1.0 / tau2 + inv_sum)
+        section_mse = 1.0 - np.asarray(psi.value(tau2_out))
+        tau2 = sigma2 + section_mse.sum() / n
+        trace.append(tau2)
+    return (np.asarray(trace), 1.0 - c2v_l2, section_mse,
+            bool(trace[-1] - sigma2 < 1e-4 * sigma2))

@@ -284,6 +284,36 @@ def test_tune_rate_no_feasible_candidate_exit_1(tmp_path, capsys):
     assert "no feasible (L, P) candidates" in capsys.readouterr().err
 
 
+def _rank_deficient_cfg(tmp_path):
+    """Over GF(2) the L=24, P=6, dv=2 graph has a parity matrix of rank
+    5 for every label draw."""
+    path = tmp_path / "gf2.txt"
+    save_config(SimConfig(**{**SMALL, "m": 1, "B": 18}), path)
+    return str(path)
+
+
+def test_se_rank_deficient_code_exit_1(tmp_path, capsys):
+    """The code is built before --out is created."""
+    out = tmp_path / "se.csv"
+    rc = main(["se", "--config", _rank_deficient_cfg(tmp_path),
+               "--ebno", "8", "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    assert "rank 5 < 6 rows" in capsys.readouterr().err
+
+
+def test_tune_rate_rank_deficient_codes_exit_1(tmp_path, capsys):
+    """Every candidate is built before --out is created; with none
+    left tune-rate fails."""
+    out = tmp_path / "rates.csv"
+    with pytest.warns(UserWarning, match="rank 5 < 6 rows"):
+        rc = main(["tune-rate", "--config", _rank_deficient_cfg(tmp_path),
+                   "--rates", "0.75", "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    assert "no feasible (L, P) candidates" in capsys.readouterr().err
+
+
 def test_unwritable_out_fails_before_any_trial(tmp_path, cfg_path,
                                                monkeypatch, capsys):
     """An --out that cannot be opened is a config error, raised before
@@ -295,7 +325,7 @@ def test_unwritable_out_fails_before_any_trial(tmp_path, cfg_path,
     monkeypatch.setattr("srldpc.harness.decode", no_trials)
     monkeypatch.setattr("srldpc.harness.decode_batch", no_trials)
     monkeypatch.setattr("srldpc.harness.approximate_se", no_trials)
-    monkeypatch.setattr("srldpc.harness.tune_rate", no_trials)
+    monkeypatch.setattr("srldpc.harness.score_candidates", no_trials)
     out = str(tmp_path / "missing" / "out.csv")
     for argv in (["simulate"],
                  ["se-vs-truth", "--ebno", "8.0", "--trials", "20"],

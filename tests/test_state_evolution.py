@@ -1,13 +1,16 @@
 import numpy as np
 import pytest
 
+from srldpc.codec import snr_to_sigma2
 from srldpc.denoiser import Schedule
 from srldpc.gf import GF2m
 from srldpc.ldpc import build_code
 from srldpc.state_evolution import (
-    _se_check_maps, _se_check_round, _se_variable_round, approximate_se,
-    build_psi, get_psi, se_check_mse, se_variable_tau, tune_rate,
+    _SeGraph, approximate_se, approximate_se_batch, build_psi, get_psi,
+    se_check_mse, se_variable_tau, tune_rate,
 )
+
+from helpers import reference_approximate_se
 
 
 @pytest.fixture(scope="module")
@@ -218,13 +221,17 @@ def test_tune_rate_skips_infeasible(psi16):
 
 
 def test_shipped_se_rounds_match_scalar_rules(psi16):
-    """The vectorized rounds approximate_se runs agree, edge by edge, with
-    the scalar rules on an irregular code (check degrees 21 and 22), with
-    some exactly-uniform messages whose Psi^-1 is inf."""
+    """The batched rounds approximate_se runs agree, edge by edge, with
+    the scalar rules on the union of an irregular code (check degrees 21
+    and 22) and a regular one (check degree 48), each at its own tau^2,
+    with some exactly-uniform messages whose Psi^-1 is inf."""
     q = 16
-    code, _ = build_code(GF2m(4), L=50, P=7, dv=3, seed=4)
-    assert set(code.chk_degrees()) == {21, 22}
-    E = code.n_edges
+    codes = [build_code(GF2m(4), L=50, P=7, dv=3, seed=4)[0],
+             build_code(GF2m(4), L=128, P=8, dv=3, seed=5)[0]]
+    assert set(codes[0].chk_degrees()) == {21, 22}
+    assert set(codes[1].chk_degrees()) == {48}
+    graph = _SeGraph(codes)
+    E = graph.n_edges
     rng = np.random.default_rng(21)
 
     def messages():
@@ -236,17 +243,94 @@ def test_shipped_se_rounds_match_scalar_rules(psi16):
 
     v2c, c2v = messages(), messages()
     assert np.isinf(psi16.inverse(c2v)).sum() == E // 8
-    tau2 = 0.3
+    tau2 = np.array([0.3, 0.2])
 
-    out_c2v = _se_check_round(q, v2c, _se_check_maps(code))
-    for e in range(E):
-        others = [f for f in code.chk_edges[code.edge_chk[e]] if f != e]
-        expected, _ = se_check_mse(v2c[others], q)
-        assert out_c2v[e] == pytest.approx(expected, rel=1e-12)
+    out_c2v = graph.check_round(v2c)
+    out_v2c = graph.variable_round(psi16, tau2, c2v)
+    for i, code in enumerate(codes):
+        off = graph.edge_slices[i].start
+        for e in range(code.n_edges):
+            others = [f + off for f in code.chk_edges[code.edge_chk[e]]
+                      if f != e]
+            expected, _ = se_check_mse(v2c[others], q)
+            assert out_c2v[off + e] == pytest.approx(expected, rel=1e-12)
 
-    out_v2c = _se_variable_round(psi16, tau2, c2v, code.edge_var, code.L)
-    for e in range(E):
-        others = [f for f in code.var_edges[code.edge_var[e]] if f != e]
-        tilde = se_variable_tau(tau2, psi16.inverse(c2v[others]))
-        expected = psi16.value(tilde)
-        assert out_v2c[e] == pytest.approx(expected, rel=1e-12)
+        for e in range(code.n_edges):
+            others = [f + off for f in code.var_edges[code.edge_var[e]]
+                      if f != e]
+            tilde = se_variable_tau(tau2[i], psi16.inverse(c2v[others]))
+            expected = psi16.value(tilde)
+            assert out_v2c[off + e] == pytest.approx(expected, rel=1e-12)
+
+
+def _oracle_codes():
+    """The se-tune benchmark's rate candidates (L = 124..159 at B=480),
+    an irregular code and an edgeless one."""
+    field = GF2m(4)
+    pairs = [(L, L - 120) for L in range(124, 160)] + [(50, 7), (120, 0)]
+    return [build_code(field, L, P, 3, seed=5)[0] for L, P in pairs]
+
+
+@pytest.mark.parametrize("schedule", ["bpn", "bp0", "bp1kg"])
+def test_batch_matches_single_code_reference(psi16, schedule):
+    """One batched recursion over all codes gives, for each code, bit for
+    bit the trajectory the earlier one-code recursion gives."""
+    codes = _oracle_codes()
+    sigma2s = [code.L / (2 * 480 * 10 ** 0.425) for code in codes]
+    traces = approximate_se_batch(codes, 600, sigma2s, 20,
+                                  Schedule(schedule), psi=psi16)
+    assert len(traces) == len(codes)
+    for code, sigma2, tr in zip(codes, sigma2s, traces):
+        tau2, edge_mse, section_mse, converged = reference_approximate_se(
+            code, 600, sigma2, 20, Schedule(schedule), psi16)
+        assert np.array_equal(tr.tau2, tau2), (code.L, code.P)
+        assert np.array_equal(tr.edge_mse, edge_mse), (code.L, code.P)
+        assert np.array_equal(tr.section_mse, section_mse), (code.L, code.P)
+        assert tr.converged == converged
+
+
+def test_single_code_matches_reference(psi16):
+    """approximate_se, a batch of one, on the desk code at two noise
+    levels, one of which converges."""
+    code, _ = build_code(GF2m(4), L=128, P=8, dv=3, seed=5)
+    for sigma2 in (1e-8, 0.05):
+        tr = approximate_se(code, 600, sigma2, 25, Schedule("bpn"),
+                            psi=psi16)
+        tau2, edge_mse, section_mse, converged = reference_approximate_se(
+            code, 600, sigma2, 25, Schedule("bpn"), psi16)
+        assert np.array_equal(tr.tau2, tau2)
+        assert np.array_equal(tr.edge_mse, edge_mse)
+        assert np.array_equal(tr.section_mse, section_mse)
+        assert tr.converged == converged
+    assert approximate_se(code, 600, 1e-8, 25, Schedule("bpn"),
+                          psi=psi16).converged
+
+
+def test_batch_edge_cases(psi16, psi8):
+    assert approximate_se_batch([], 600, [], 5, Schedule("bpn")) == []
+    codes = [build_code(GF2m(4), 128, 8, 3, seed=5)[0],
+             build_code(GF2m(3), 24, 6, 2, seed=3)[0]]
+    with pytest.raises(ValueError, match="different fields"):
+        approximate_se_batch(codes, 600, [0.04, 0.04], 5, Schedule("bpn"),
+                             psi=psi16)
+    tr = approximate_se(codes[0], 600, 0.04, 0, Schedule("bpn"), psi=psi16)
+    assert tr.tau2.tolist() == [0.04 + 128 / 600]
+    assert np.all(tr.edge_mse == 1 - 1 / 16)
+
+
+def test_tune_rate_matches_single_code_runs(psi16):
+    """tune_rate's batched sweep gives each candidate the residual of its
+    own approximate_se run, bit for bit."""
+    field = GF2m(4)
+    pairs = [(124, 4), (128, 8), (140, 20), (159, 39)]
+    rows = tune_rate(field, pairs, B=480, n=600, dv=3, ebno_db=4.25, T=20,
+                     seed=5, psi=psi16)
+    assert [(row.L, row.P) for row in rows] == sorted(
+        pairs, key=lambda p: (p[0] - p[1]) / p[0])
+    for row in rows:
+        code, _ = build_code(field, row.L, row.P, 3, seed=5)
+        sigma2 = snr_to_sigma2(4.25, 480, row.L)
+        tr = approximate_se(code, 600, sigma2, 20, Schedule("bpn"),
+                            psi=psi16)
+        assert row.residual == float(tr.tau2[-1] - sigma2)
+        assert row.converged == tr.converged
