@@ -12,10 +12,9 @@ import numpy as np
 
 from .amp import decode
 from .harness import (
-    ConfigError, load_config, sweep, se_predict_code, se_vs_truth,
-    rate_codes, score_rate_codes,
-    build_experiment, channel_input, claim_output, decoder_params,
-    design_matrix, read_input, write_se_csv, write_rate_csv,
+    ConfigError, load_config, sweep, se_predict, se_vs_truth, rate_sweep,
+    build_experiment, channel_input, decoder_params, design_matrix,
+    read_input,
 )
 from .state_evolution import best_candidate
 
@@ -88,14 +87,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_se(args):
-    # SimConfig rejects an Eb/N0 without a finite noise variance, and
-    # build_experiment a code that cannot be built, before --out is
-    # created and the SE work starts
-    cfg = replace(_load(args), ebno_db=(args.ebno,))
-    _, code, _ = build_experiment(cfg)
-    claim_output(args.out)
-    trace = se_predict_code(cfg, code, args.ebno)
-    write_se_csv(trace, args.out)
+    trace = se_predict(_load(args), args.ebno, out_csv=args.out)
     print(f"tau2 final {trace.tau2[-1]:.6e} converged={trace.converged}; "
           f"wrote {args.out}")
 
@@ -117,18 +109,13 @@ def _cmd_tune_rate(args):
         raise ConfigError(f"--rates: {exc}") from exc
     if not rates:
         raise ConfigError("no rates given")
-    # rejects bad rates and a set in which no code builds before --out
-    # is created
-    built = rate_codes(cfg, rates)
-    claim_output(args.out)
-    rows = score_rate_codes(cfg, built)
+    rows = rate_sweep(cfg, rates, out_csv=args.out)
     best = best_candidate(rows)
     for row in rows:
         mark = "  <-- min" if row is best else ""
         print(f"R={row.rate:.4f} L={row.L} P={row.P} "
               f"residual={row.residual:.6e}{mark}")
     if args.out:
-        write_rate_csv(rows, args.out)
         print(f"wrote {args.out}")
 
 

@@ -378,9 +378,9 @@ def _excl_prod(a):
     products right to left in place in a, so that a[k] becomes the
     product of slots k and later: the association np.cumprod uses.  One
     product then joins them.  A loop over contiguous per-slot (nodes,
-    trials, q) slices beats a cumprod that strides across slots; state
-    evolution's scalar (checks, slots) products keep the cumprod, which
-    is contiguous there.
+    trials, q) slices beats a cumprod that strides across slots.  State
+    evolution's scalar products do not come here: _SeGraph runs them on
+    its own ragged slot-major layout.
     """
     out = np.empty_like(a)
     out[0] = 1.0

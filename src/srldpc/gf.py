@@ -93,10 +93,6 @@ class GF2m:
         self.inv_table = np.zeros(q, dtype=np.int64)
         self.inv_table[1:] = self.exp[(-logs) % (q - 1)]
 
-        # xor_table[a, b] = a ^ b, used by the direct convolution.
-        idx = np.arange(q)
-        self.xor_table = idx[:, None] ^ idx[None, :]
-
     def mul(self, a, b):
         """Field product; accepts scalars or arrays."""
         return self.mul_table[a, b]
@@ -115,15 +111,13 @@ def fq_convolve(a, b, field):
     """Direct O(q^2) F_q-convolution: out[g] = sum_h a[h] * b[g - h]."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return a @ b[field.xor_table]
+    idx = np.arange(field.q)
+    return a @ b[idx[:, None] ^ idx[None, :]]
 
 
-def fwht(v, inverse=False):
-    """Walsh-Hadamard transform along the last axis, length a power of two.
-
-    The forward transform is unnormalized; the inverse applies the 1/q
-    scaling, so fwht(fwht(v), inverse=True) == v.
-    """
+def fwht(v):
+    """Unnormalized Walsh-Hadamard transform along the last axis, length
+    a power of two; it is its own inverse up to a factor q."""
     a = np.array(v, dtype=np.float64, copy=True)
     q = a.shape[-1]
     if q & (q - 1):
@@ -135,7 +129,5 @@ def fwht(v, inverse=False):
         bot = a[..., 0, :] - a[..., 1, :]
         a = np.stack((top, bot), axis=-2).reshape(a.shape[:-3] + (q,))
         h *= 2
-    if inverse:
-        a /= q
     return a
 

@@ -20,7 +20,6 @@ one-by-one loop, and no trial past it is decoded.
 import json
 import subprocess
 import time
-import warnings
 from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
@@ -85,6 +84,8 @@ class SimConfig:
             raise ConfigError("m must be at most 8")
         if self.P < 0:
             raise ConfigError("P must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError("seed must be nonnegative")
         if self.P:
             try:
                 check_peg_profile(self.L, self.P, self.dv)
@@ -263,19 +264,14 @@ def decode_trials(cfg, code, encoder, A, sigma2, params, snr_index, trials):
     return [(bits, v, res) for (bits, v, _), res in zip(sent, results)]
 
 
-def decode_trial(cfg, code, encoder, A, sigma2, params, snr_index, trial):
-    """Sent bits, codeword and DecodeResult of one seeded trial; A=None
-    decodes against the trial's own matrix (matrix_policy=per_trial)."""
+def run_trial(cfg, code, encoder, A, sigma2, params, snr_index, trial):
+    """One end-to-end seeded trial decoded alone; returns its tallies.
+    A=None decodes against the trial's own matrix
+    (matrix_policy=per_trial)."""
     if A is None:
         A = design_matrix(cfg, snr_index, trial)
     bits, v, y = trial_observation(cfg, encoder, A, sigma2, snr_index, trial)
-    return bits, v, decode(y, A, code, encoder, params)
-
-
-def run_trial(cfg, code, encoder, A, sigma2, params, snr_index, trial):
-    """One end-to-end trial decoded alone; returns per-trial tallies."""
-    return trial_tally(*decode_trial(cfg, code, encoder, A, sigma2, params,
-                                     snr_index, trial))
+    return trial_tally(bits, v, decode(y, A, code, encoder, params))
 
 
 def trial_tally(bits, v, res):
@@ -434,16 +430,18 @@ def _write_plot_spec(cfg, rows, out_csv):
         json.dump(spec, fh, indent=2)
 
 
-def se_predict(cfg, ebno_db, psi=None):
-    """Approximate-SE trajectory of cfg.amp_iters iterations at one SNR."""
+def se_predict(cfg, ebno_db, psi=None, out_csv=None):
+    """Approximate-SE trajectory of cfg.amp_iters iterations at one SNR.
+    Like sweep, it builds the code and opens out_csv before the SE work,
+    and writes the trajectory to it."""
+    sigma2 = _sigma2(cfg, ebno_db)
     _, code, _ = build_experiment(cfg)
-    return se_predict_code(cfg, code, ebno_db, psi=psi)
-
-
-def se_predict_code(cfg, code, ebno_db, psi=None):
-    """se_predict on the config's outer code, already built."""
-    return approximate_se(code, cfg.n, _sigma2(cfg, ebno_db), cfg.amp_iters,
-                          Schedule(cfg.schedule), psi=psi)
+    claim_output(out_csv)
+    trace = approximate_se(code, cfg.n, sigma2, cfg.amp_iters,
+                           Schedule(cfg.schedule), psi=psi)
+    if out_csv is not None:
+        write_se_csv(trace, out_csv)
+    return trace
 
 
 def write_se_csv(trace, path):
@@ -482,7 +480,7 @@ def se_vs_truth(cfg, ebno_db, trials, psi=None, out_csv=None):
             range(start, min(start + BATCH, trials)))
     ]), axis=0)
 
-    se_trace = se_predict_code(cfg, code, ebno_db, psi=psi)
+    se_trace = se_predict(cfg, ebno_db, psi=psi)
     rows = []
     for t in range(T + 1):
         mc = float(tau2_mc[t])
@@ -500,55 +498,30 @@ def write_se_vs_truth_csv(rows, path):
             fh.write(f"{t},{mc:.8e},{se:.8e},{rel:.6e}\n")
 
 
-def rate_candidates(cfg, rates):
-    """Sorted (L, P) pairs of the outer rates at fixed B.
+def rate_sweep(cfg, rates, psi=None, out_csv=None):
+    """Approximate-SE residual of each outer-rate candidate at fixed B
+    and n, tuned at the first Eb/N0, as one batched SE recursion.
 
     Rates map to (L, P) pairs through the fixed message-symbol count
-    k = B / m.  Pairs whose outer code PEG cannot build (P >= 1 needs
-    P >= dv >= 2) are skipped with a warning; a rate outside (0, 1] or no pair
-    left is a config error.
+    k = B / m.  Every code is built, and out_csv opened, before the SE
+    work; a pair whose code cannot be built (an infeasible PEG profile
+    or a rank-deficient parity matrix) is skipped with a warning.  A
+    rate outside (0, 1] or no code left is a config error.
     """
     k = cfg.B // cfg.m
-    pairs = set()
     for r in rates:
         if not 0 < r <= 1:
             raise ConfigError(f"rate {r} outside (0, 1]")
-        L = int(round(k / r))
-        try:
-            if L > k:
-                check_peg_profile(L, L - k, cfg.dv)
-        except ValueError as exc:
-            warnings.warn(f"skipping (L={L}, P={L - k}): {exc}")
-            continue
-        pairs.add((L, L - k))
-    if not pairs:
-        raise ConfigError("no feasible (L, P) candidates")
-    return sorted(pairs)
-
-
-def rate_codes(cfg, rates):
-    """Outer codes of the feasible rate candidates (see rate_candidates)
-    as (L, P, code) triples, all built before any SE work.  A candidate
-    whose code fails to build (a rank-deficient parity matrix) is skipped
-    with a warning; none left is a config error."""
-    built = build_candidates(cfg.field(), rate_candidates(cfg, rates),
-                             cfg.B, cfg.dv, cfg.label_seed())
+    pairs = sorted({(L, L - k) for L in (int(round(k / r)) for r in rates)})
+    built = build_candidates(cfg.field(), pairs, cfg.dv, cfg.label_seed())
     if not built:
         raise ConfigError("no feasible (L, P) candidates")
-    return built
-
-
-def rate_sweep(cfg, rates, psi=None):
-    """Approximate-SE residual of each feasible outer-rate candidate at
-    fixed B and n (see rate_codes), tuned at the first Eb/N0."""
-    return score_rate_codes(cfg, rate_codes(cfg, rates), psi=psi)
-
-
-def score_rate_codes(cfg, built, psi=None):
-    """rate_sweep on candidates rate_codes has built: one batched SE
-    recursion over all of them."""
-    return score_candidates(built, cfg.B, cfg.n, cfg.ebno_db[0],
-                            schedule=Schedule(cfg.schedule), psi=psi)
+    claim_output(out_csv)
+    rows = score_candidates(built, cfg.B, cfg.n, cfg.ebno_db[0],
+                            Schedule(cfg.schedule), psi=psi)
+    if out_csv is not None:
+        write_rate_csv(rows, out_csv)
+    return rows
 
 
 def write_rate_csv(rows, path):

@@ -31,7 +31,6 @@ import numpy as np
 from scipy.optimize import isotonic_regression
 
 from .codec import rng_stream, snr_to_sigma2
-from .denoiser import Schedule
 from .ldpc import build_code
 
 PSI_GRID = (1e-4, 1e3, 64)
@@ -408,15 +407,13 @@ def best_candidate(rows):
     return min(rows, key=lambda row: (row.residual, -row.rate))
 
 
-def build_candidates(field, candidates, B, dv, seed=0):
+def build_candidates(field, candidates, dv, seed=0):
     """Outer codes of the (L, P) candidates, built in order, as (L, P,
-    code) triples; pairs with (L - P) * m != B or failing construction
-    are skipped with a warning."""
+    code) triples; a pair whose construction fails (an infeasible PEG
+    profile or a rank-deficient parity matrix) is skipped with a
+    warning."""
     built = []
     for L, P in candidates:
-        if (L - P) * field.m != B:
-            warnings.warn(f"skipping (L={L}, P={P}): (L-P)*m != B")
-            continue
         try:
             code, _ = build_code(field, L, P, dv, seed)
         except ValueError as exc:
@@ -426,12 +423,10 @@ def build_candidates(field, candidates, B, dv, seed=0):
     return built
 
 
-def score_candidates(built, B, n, ebno_db, T=20, schedule=None, psi=None):
+def score_candidates(built, B, n, ebno_db, schedule, T=20, psi=None):
     """Approximate-SE residual of each built (L, P, code) candidate, all
     run as one approximate_se_batch.  Returns rows sorted by rate;
     best_candidate picks the residual minimizer."""
-    if schedule is None:
-        schedule = Schedule("bpn")
     sigma2s = [snr_to_sigma2(ebno_db, B, L) for L, _, _ in built]
     traces = approximate_se_batch([code for _, _, code in built], n,
                                   sigma2s, T, schedule, psi)
@@ -443,17 +438,3 @@ def score_candidates(built, B, n, ebno_db, T=20, schedule=None, psi=None):
     ]
     rows.sort(key=lambda row: row.rate)
     return rows
-
-
-def tune_rate(field, candidates, B, n, dv, ebno_db, T=20,
-              schedule=None, seed=0, psi=None):
-    """Approximate-SE sweep over outer-code rates at fixed B and n.
-
-    candidates is a list of (L, P) pairs with (L - P) * m == B; every
-    pair is built first (build_candidates skips, with a warning, pairs
-    violating that or failing construction), then one batched SE
-    recursion scores them all.  Returns rows sorted by rate;
-    best_candidate picks the residual minimizer.
-    """
-    return score_candidates(build_candidates(field, candidates, B, dv, seed),
-                            B, n, ebno_db, T, schedule, psi)

@@ -26,7 +26,9 @@ from srldpc.gf import GF2m, fq_convolve
 from srldpc import harness
 from srldpc.harness import SimConfig, run_point, se_vs_truth, trial_tally
 from srldpc.ldpc import LdpcCode, bits_to_symbols, build_code, syndrome_check
-from srldpc.state_evolution import best_candidate, get_psi, tune_rate
+from srldpc.state_evolution import (
+    best_candidate, build_candidates, get_psi, score_candidates,
+)
 
 DESK = dict(L=128, P=8, dv=3, B=480, n=600, m=4)
 WATERFALL_DB = 4.25          # calibrated: desk BP-N CER crosses ~3e-2 here
@@ -214,7 +216,7 @@ def test_c5_se_closed_forms():
 def _rowwise_convolve(a, b):
     """Convolve row i of a with row i of b over F_q, for all rows."""
     from srldpc.gf import fwht
-    return fwht(fwht(a) * fwht(b), inverse=True)
+    return fwht(fwht(a) * fwht(b)) / a.shape[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +369,10 @@ def _mc_residual(field, L, P, ebno, trials=200, T=20):
 def test_c9_rate_tuning(psi16):
     field = GF2m(4)
     candidates = [(L, L - 120) for L in RATE_LS]
-    rows = tune_rate(field, candidates, B=DESK["B"], n=DESK["n"],
-                     dv=DESK["dv"], ebno_db=RATE_EBNO_DB, T=20, seed=5,
-                     psi=psi16)
+    rows = score_candidates(
+        build_candidates(field, candidates, DESK["dv"], seed=5),
+        DESK["B"], DESK["n"], RATE_EBNO_DB, Schedule("bpn"), T=20,
+        psi=psi16)
     assert len(rows) >= 6
     best = best_candidate(rows)
     # interior minimizer: both extreme rates predict strictly worse

@@ -333,3 +333,32 @@ def test_unwritable_out_fails_before_any_trial(tmp_path, cfg_path,
                  ["tune-rate", "--rates", "0.75,0.6"]):
         assert main(argv + ["--config", cfg_path, "--out", out]) == 1
         assert "cannot write" in capsys.readouterr().err
+
+
+NEGATIVE_SEED_COMMANDS = [
+    ["simulate"],
+    ["se", "--ebno", "8.0"],
+    ["se-vs-truth", "--ebno", "8.0", "--trials", "20"],
+    ["tune-rate", "--rates", "0.75"],
+]
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_SEED_COMMANDS)
+def test_negative_seed_override_exit_1(tmp_path, cfg_path, argv, capsys):
+    out = tmp_path / "out.csv"
+    rc = main(["--seed", "-1"] + argv + ["--config", cfg_path,
+                                         "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    assert "seed must be nonnegative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", NEGATIVE_SEED_COMMANDS)
+def test_negative_seed_in_config_exit_1(tmp_path, cfg_path, argv, capsys):
+    path = tmp_path / "neg.txt"
+    path.write_text(open(cfg_path).read().replace("seed=3", "seed=-1"))
+    out = tmp_path / "out.csv"
+    rc = main(argv + ["--config", str(path), "--out", str(out)])
+    assert rc == 1
+    assert not out.exists()
+    assert "seed must be nonnegative" in capsys.readouterr().err

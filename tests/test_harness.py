@@ -1,17 +1,19 @@
 import json
 
-import numpy as np
 import pytest
 
 from srldpc import harness
 from srldpc.amp import tau2_floor_for
+from srldpc.codec import snr_to_sigma2
+from srldpc.denoiser import Schedule
 from srldpc.harness import (
     ConfigError, PointResult, SimConfig, build_experiment, design_matrix,
     load_config, rate_sweep, run_point, save_config,
     se_predict, se_vs_truth, sweep, write_rate_csv,
     write_se_csv, write_se_vs_truth_csv, RESULTS_HEADER,
 )
-from srldpc.state_evolution import get_psi
+from srldpc.ldpc import build_code
+from srldpc.state_evolution import approximate_se, get_psi
 
 SMALL = dict(m=3, L=24, P=6, dv=2, B=54, n=120, amp_iters=8,
              final_bp_iters=10, seed=3, trials=10, target_errors=5,
@@ -163,14 +165,13 @@ def test_run_point_target_errors_matches_serial_loop(policy):
     trials = bit_errors = cw_errors = iters = aborts = 0
     tau2 = 0.0
     for trial in range(cfg.trials):
-        bits, v, res = harness.decode_trial(cfg, code, encoder, A, sigma2,
-                                            params, 0, trial)
-        aborted = res.termination_reason == "non_finite"
+        be, cw, it, t2, aborted = harness.run_trial(
+            cfg, code, encoder, A, sigma2, params, 0, trial)
         trials += 1
-        bit_errors += int(np.sum(res.bits != bits))
-        cw_errors += int(bool(np.any(res.symbols != v)) or aborted)
-        iters += res.iterations_used
-        tau2 += float(res.tau2_trace[-1])
+        bit_errors += be
+        cw_errors += int(cw)
+        iters += it
+        tau2 += t2
         aborts += int(aborted)
         if cw_errors >= cfg.target_errors:
             break
@@ -250,11 +251,14 @@ def test_sweep_csv_golden(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_se_predict_and_csv(tmp_path, psi8):
+    """se_predict(out_csv=) writes what write_se_csv writes."""
     cfg = SimConfig(**SMALL)
-    trace = se_predict(cfg, 8.0, psi=psi8)
+    out = tmp_path / "se.csv"
+    trace = se_predict(cfg, 8.0, psi=psi8, out_csv=out)
     assert trace.tau2.size == cfg.amp_iters + 1
-    path = tmp_path / "se.csv"
+    path = tmp_path / "ref.csv"
     write_se_csv(trace, path)
+    assert out.read_text() == path.read_text()
     lines = path.read_text().splitlines()
     assert lines[0] == "t,tau2_predicted"
     assert len(lines) == cfg.amp_iters + 2
@@ -297,15 +301,27 @@ def test_se_vs_truth_per_trial_matrices(psi8):
 
 
 def test_rate_sweep_rows_and_csv(tmp_path, psi8):
-    cfg = SimConfig(**{**SMALL, "ebno_db": (6.0,)})
-    rows = rate_sweep(cfg, [0.75, 0.6], psi=psi8)
-    assert len(rows) == 2
-    assert rows[0].rate < rows[1].rate
-    path = tmp_path / "rates.csv"
+    """rate_sweep(out_csv=) writes what write_rate_csv writes, rows go
+    by rate, and each row is its code's own approximate_se run, bit for
+    bit: 20 iterations at the first Eb/N0 under the config's schedule."""
+    cfg = SimConfig(**{**SMALL, "ebno_db": (6.0, 9.0), "schedule": "bp0"})
+    out = tmp_path / "rates.csv"
+    rows = rate_sweep(cfg, [0.75, 0.6, 0.7], psi=psi8, out_csv=out)
+    assert [(row.L, row.P) for row in rows] == [(30, 12), (26, 8), (24, 6)]
+    path = tmp_path / "ref.csv"
     write_rate_csv(rows, path)
+    assert out.read_text() == path.read_text()
     lines = path.read_text().splitlines()
     assert lines[0] == "R_ldpc,L,P,tau2_final_minus_sigma2"
-    assert len(lines) == 3
+    assert len(lines) == 4
+    for row in rows:
+        code, _ = build_code(cfg.field(), row.L, row.P, cfg.dv,
+                             cfg.label_seed())
+        sigma2 = snr_to_sigma2(6.0, cfg.B, row.L)
+        tr = approximate_se(code, cfg.n, sigma2, 20, Schedule("bp0"),
+                            psi=psi8)
+        assert row.residual == float(tr.tau2[-1] - sigma2)
+        assert row.converged == tr.converged
 
 
 def test_rate_sweep_rejects_bad_rate(psi8):

@@ -6,8 +6,8 @@ from srldpc.denoiser import Schedule
 from srldpc.gf import GF2m
 from srldpc.ldpc import build_code
 from srldpc.state_evolution import (
-    _SeGraph, approximate_se, approximate_se_batch, build_psi, get_psi,
-    se_check_mse, se_variable_tau, tune_rate,
+    _SeGraph, approximate_se, approximate_se_batch, build_candidates,
+    build_psi, get_psi, score_candidates, se_check_mse, se_variable_tau,
 )
 
 from helpers import reference_approximate_se
@@ -193,19 +193,23 @@ def test_se_rejects_psi_for_other_field(psi8):
 # Rate tuning
 # ---------------------------------------------------------------------------
 
+def _tune_rate(pairs, ebno_db, T, psi):
+    """Desk rate sweep (q=16, B=480, n=600, dv=3, label seed 5) of the
+    (L, P) pairs under the bpn schedule."""
+    built = build_candidates(GF2m(4), pairs, 3, seed=5)
+    return score_candidates(built, 480, 600, ebno_db, Schedule("bpn"), T=T,
+                            psi=psi)
+
+
 def test_tune_rate_single_candidate(psi16):
-    field = GF2m(4)
-    rows = tune_rate(field, [(128, 8)], B=480, n=600, dv=3, ebno_db=4.0,
-                     T=10, seed=5, psi=psi16)
+    rows = _tune_rate([(128, 8)], 4.0, 10, psi16)
     assert len(rows) == 1
     assert rows[0].rate == pytest.approx(120 / 128)
 
 
 def test_tune_rate_p0_equals_bp0_recursion(psi16):
-    field = GF2m(4)
-    rows = tune_rate(field, [(120, 0)], B=480, n=600, dv=3, ebno_db=4.0,
-                     T=10, seed=5, psi=psi16)
-    code, _ = build_code(field, 120, 0, 3, seed=5)
+    rows = _tune_rate([(120, 0)], 4.0, 10, psi16)
+    code, _ = build_code(GF2m(4), 120, 0, 3, seed=5)
     sigma2 = 120 / (2 * 480 * 10 ** 0.4)
     ref = approximate_se(code, 600, sigma2, 10, Schedule("bp0"), psi=psi16)
     assert rows[0].residual == pytest.approx(float(ref.tau2[-1] - sigma2),
@@ -213,11 +217,10 @@ def test_tune_rate_p0_equals_bp0_recursion(psi16):
 
 
 def test_tune_rate_skips_infeasible(psi16):
-    field = GF2m(4)
-    with pytest.warns(UserWarning):
-        rows = tune_rate(field, [(128, 8), (130, 8)], B=480, n=600, dv=3,
-                         ebno_db=4.0, T=5, seed=5, psi=psi16)
-    assert len(rows) == 1
+    """A pair PEG cannot build (P=2 < dv=3) is skipped with a warning."""
+    with pytest.warns(UserWarning, match=r"skipping \(L=122, P=2\)"):
+        rows = _tune_rate([(128, 8), (122, 2)], 4.0, 5, psi16)
+    assert [(row.L, row.P) for row in rows] == [(128, 8)]
 
 
 def test_shipped_se_rounds_match_scalar_rules(psi16):
@@ -319,12 +322,11 @@ def test_batch_edge_cases(psi16, psi8):
 
 
 def test_tune_rate_matches_single_code_runs(psi16):
-    """tune_rate's batched sweep gives each candidate the residual of its
+    """The batched rate sweep gives each candidate the residual of its
     own approximate_se run, bit for bit."""
     field = GF2m(4)
     pairs = [(124, 4), (128, 8), (140, 20), (159, 39)]
-    rows = tune_rate(field, pairs, B=480, n=600, dv=3, ebno_db=4.25, T=20,
-                     seed=5, psi=psi16)
+    rows = _tune_rate(pairs, 4.25, 20, psi16)
     assert [(row.L, row.P) for row in rows] == sorted(
         pairs, key=lambda p: (p[0] - p[1]) / p[0])
     for row in rows:
