@@ -24,10 +24,14 @@ a time.  Padded slots point at a neutral all-ones row.  Label
 permutations are flat integer gathers: one map absorbs the labels into
 v2c, and one map sends the check outputs back to edge order and
 reapplies the labels; both depend on K and are rebuilt when it changes.
-The two Hadamard products see the (edges * trials, q) rows as one
-matrix.  Every entry goes through the same floating-point operations as
-in a one-trial denoiser, so a trial's results do not depend on the
-trials batched with it.  compact() drops finished trials from the batch.
+Both Walsh-Hadamard transforms of a check round run on the (edges *
+trials, q) rows as one stack: one product against H_q for q <= 16, and
+above that two radix-16 stages, a product against H_16 and a stacked
+np.matmul with H_{q/16}, which at q=256 take 2q(16 + q/16) flops per
+row instead of 2q^2.  Every entry goes through the same floating-point
+operations as in a one-trial denoiser, so a trial's results do not
+depend on the trials batched with it.  compact() drops finished trials
+from the batch.
 """
 
 import math
@@ -37,15 +41,53 @@ import numpy as np
 from .gf import fwht
 
 MSG_FLOOR = 1e-30
+RADIX = 16
 
 
 def hadamard_matrix(q):
     """Dense Walsh-Hadamard matrix H[i, j] = (-1)^popcount(i & j).
 
-    For q <= 256 a single matrix product against H is faster than the
-    butterfly, and H @ H = q I gives the inverse transform.
+    H @ H = q I gives the inverse transform.  The BP check round applies
+    it through _Hadamard, as this one matrix only for q <= 16.
     """
     return fwht(np.eye(q))
+
+
+class _Hadamard:
+    """Walsh-Hadamard transform of the rows of (rows, q) arrays.
+
+    For q <= RADIX it is one dense product against H_q.  Above that
+    H_q = H_{q/RADIX} (x) H_RADIX, because the bits of i & j split into
+    high and low halves: one product of the rows, seen as (rows *
+    q/RADIX, RADIX), against H_RADIX transforms the low bits, then a
+    stacked np.matmul applies H_{q/RADIX} to each row seen as a
+    (q/RADIX, RADIX) matrix.  The first stage writes into a work buffer
+    kept between calls, so that a round allocates no fresh array for it.
+    """
+
+    def __init__(self, q):
+        if q <= RADIX:
+            self.factors = (hadamard_matrix(q),)
+        else:
+            self.factors = (hadamard_matrix(q // RADIX),
+                            hadamard_matrix(RADIX))
+        self._work = np.empty(0)
+
+    def __call__(self, x, out=None):
+        """Transform of each row of a C-contiguous (rows, q) array x,
+        written into out (C-contiguous) if given; without out the result
+        may take x's memory, so callers pass a fresh array."""
+        if len(self.factors) == 1:
+            return np.matmul(x, self.factors[0], out=out)
+        high, low = self.factors
+        if self._work.size != x.size:
+            self._work = np.empty(x.size)
+        z = np.matmul(x.reshape(-1, RADIX), low,
+                      out=self._work.reshape(-1, RADIX))
+        out = x if out is None else out
+        np.matmul(high, z.reshape(-1, len(high), RADIX),
+                  out=out.reshape(-1, len(high), RADIX))
+        return out
 
 
 class Schedule:
@@ -141,7 +183,7 @@ class BpDenoiser:
         self.schedule = schedule
 
         E = code.n_edges
-        self._H = hadamard_matrix(self.field.q)
+        self._hadamard = _Hadamard(self.field.q)
 
         # Slot-major padded gather maps (slots, nodes); the dummy edge id
         # E points at a neutral row (uniform message, all-ones spectrum).
@@ -290,8 +332,8 @@ class BpDenoiser:
         absorb, relabel = self._label_maps()
         # Chained, so that each (edges, trials, q) temporary is freed as
         # soon as the next one exists: peak memory grows with the batch.
-        conv = _excl_prod(self._check_spectra(absorb)).reshape(
-            -1, trials, q)[self._chk_sel].reshape(-1, q) @ self._H
+        conv = self._hadamard(_excl_prod(self._check_spectra(absorb)).reshape(
+            -1, trials, q)[self._chk_sel].reshape(-1, q))
         conv *= 1.0 / q
         np.maximum(conv, 0.0, out=conv)
         self._c2v_pad[:E] = self._renorm(conv.take(relabel))
@@ -302,8 +344,8 @@ class BpDenoiser:
         E, q = self.code.n_edges, self.field.q
         spectra = np.empty((E + 1, self.trials, q))
         spectra[E] = 1.0
-        np.matmul(self._v2c.take(absorb).reshape(-1, q), self._H,
-                  out=spectra[:E].reshape(-1, q))
+        self._hadamard(self._v2c.take(absorb).reshape(-1, q),
+                       out=spectra[:E].reshape(-1, q))
         return spectra[self._chk_pad]
 
     def estimate(self):

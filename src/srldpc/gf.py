@@ -1,5 +1,4 @@
-"""GF(2^m) arithmetic, the direct F_q-convolution and the Walsh-Hadamard
-transform.
+"""GF(2^m) arithmetic and the Walsh-Hadamard transform.
 
 Belief vectors over F_q are plain numpy arrays of length q = 2^m, indexed
 by the integer representation of field elements: 0 is the additive
@@ -105,14 +104,6 @@ class GF2m:
 
     def __repr__(self):
         return f"GF2m(m={self.m}, poly=0x{self.poly:X})"
-
-
-def fq_convolve(a, b, field):
-    """Direct O(q^2) F_q-convolution: out[g] = sum_h a[h] * b[g - h]."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    idx = np.arange(field.q)
-    return a @ b[idx[:, None] ^ idx[None, :]]
 
 
 def fwht(v):

@@ -187,7 +187,7 @@ class PointResult:
     mean_amp_iters: float
     mean_tau2_final: float
     wall_s: float
-    aborts: int = 0    # decoder aborts, tallied but not part of the CSV schema
+    aborts: int = 0    # decoder aborts: in the .meta.json sidecar, not the CSV
 
     def csv_row(self):
         return (f"{_fmt_float(self.ebno_db)},{self.trials},"
@@ -373,7 +373,7 @@ def sweep(cfg, out_csv=None):
     ]
     if out_csv is not None:
         write_results_csv(rows, out_csv)
-        _write_metadata(cfg, prebuilt[1], out_csv)
+        _write_metadata(cfg, prebuilt[1], rows, out_csv)
         _write_plot_spec(cfg, rows, out_csv)
     return rows
 
@@ -396,7 +396,7 @@ def _git_describe():
         return "unknown"
 
 
-def _write_metadata(cfg, code, out_csv):
+def _write_metadata(cfg, code, rows, out_csv):
     meta = {
         "config": {k: (list(v) if isinstance(v, tuple) else v)
                    for k, v in asdict(cfg).items()},
@@ -407,6 +407,8 @@ def _write_metadata(cfg, code, out_csv):
         "code_girth": (0 if code.girth == float("inf") else int(code.girth)),
         "rate_overall": cfg.rate_overall,
         "git_describe": _git_describe(),
+        "points": [{"ebno_db": row.ebno_db, "aborts": row.aborts}
+                   for row in rows],
     }
     with open(str(out_csv) + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=2)

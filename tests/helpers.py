@@ -1,15 +1,16 @@
 """Shared independent oracles for the test suite, and one runner.
 
-The oracles are deliberately implemented by direct enumeration or
-finite differences, independent of the transform-domain code paths they
-are used to verify.  check_round_message is not an oracle: it runs the
-shipped BpDenoiser check round on a single check so that the oracles
-can be compared with it message by message.  reference_bp_round and
-reference_estimate keep the earlier node-major form of the BP round
-(cumprod exclusive products, take_along_axis label permutations,
-boolean-mask gathers), which does the same floating-point operations in
-the same order as the shipped slot-major round, so the two must agree
-bit for bit.  reference_peg_construct is the earlier form of
+The oracles are deliberately implemented by direct enumeration, by
+direct O(q^2) F_q-convolution (fq_convolve, check_update_convolution)
+or by finite differences, independent of the transform-domain code
+paths they are used to verify.  check_round_message is not an oracle:
+it runs the shipped BpDenoiser check round on a single check so that
+the oracles can be compared with it message by message.
+reference_bp_round and reference_estimate keep the earlier node-major
+form of the BP round (cumprod exclusive products, take_along_axis label
+permutations, boolean-mask gathers), which does the same floating-point
+operations in the same order as the shipped slot-major round, so the
+two must agree bit for bit.  reference_peg_construct is the earlier form of
 ldpc.peg_construct, a variable/check BFS per placed edge with the girth
 left to compute_girth; the shipped construction must give the same
 edges and girth.  reference_approximate_se is the earlier one-code
@@ -48,6 +49,29 @@ def check_round_message(incoming, out_label, field):
     )
     den.bp_round()
     return den.c2v[code.var_edges[d - 1][0]]
+
+
+def fq_convolve(a, b, field):
+    """Direct O(q^2) F_q-convolution: out[g] = sum_h a[h] * b[g - h]."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    idx = np.arange(field.q)
+    return a @ b[idx[:, None] ^ idx[None, :]]
+
+
+def check_update_convolution(incoming, out_label, field):
+    """Check-node message by direct F_q-convolution: each incoming
+    vector, relabelled to the distribution of label * symbol, is
+    convolved into the distribution w of the sum over the other edges,
+    and the output edge reads w at out_label * g."""
+    q = field.q
+    w = np.zeros(q)
+    w[0] = 1.0
+    for b, lbl in incoming:
+        b = np.asarray(b, dtype=np.float64)
+        w = fq_convolve(w, b[field.mul_table[:, field.inv(lbl)]], field)
+    out = w[field.mul_table[out_label]]
+    return out / out.sum()
 
 
 def check_update_bruteforce(incoming, out_label, field):

@@ -14,7 +14,7 @@ from scipy.stats import binomtest
 
 from helpers import (
     check_round_message, check_update_bruteforce, exhaustive_posteriors,
-    fd_divergence, gaussian_probability_vectors,
+    fd_divergence, fq_convolve, gaussian_probability_vectors,
 )
 from srldpc.amp import DecoderParams, decode, tau2_floor_for
 from srldpc.codec import (
@@ -22,7 +22,7 @@ from srldpc.codec import (
     STREAM_BITS, STREAM_NOISE,
 )
 from srldpc.denoiser import BpDenoiser, Schedule, divergence_terms
-from srldpc.gf import GF2m, fq_convolve
+from srldpc.gf import GF2m
 from srldpc import harness
 from srldpc.harness import SimConfig, run_point, se_vs_truth, trial_tally
 from srldpc.ldpc import LdpcCode, bits_to_symbols, build_code, syndrome_check

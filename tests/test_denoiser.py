@@ -2,13 +2,15 @@ import numpy as np
 import pytest
 
 from helpers import (
-    check_round_message, check_update_bruteforce, exhaustive_posteriors,
-    reference_bp_round, reference_estimate,
+    check_round_message, check_update_bruteforce, check_update_convolution,
+    exhaustive_posteriors, fq_convolve, reference_bp_round,
+    reference_estimate,
 )
 from srldpc.denoiser import (
-    BpDenoiser, Schedule, divergence_terms, hadamard_matrix, local_posterior,
+    BpDenoiser, Schedule, _Hadamard, divergence_terms, hadamard_matrix,
+    local_posterior,
 )
-from srldpc.gf import GF2m, fq_convolve
+from srldpc.gf import GF2m, fwht
 from srldpc.harness import SimConfig, build_experiment
 from srldpc.ldpc import LdpcCode, build_code
 
@@ -52,6 +54,40 @@ def test_hadamard_matrix_entries_and_inverse(m):
                     for i in range(q)])
     assert np.array_equal(H, ref)
     assert np.array_equal(H @ H, q * np.eye(q))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_hadamard_transform_matches_fwht(m):
+    q = 1 << m
+    rng = np.random.default_rng(20 + m)
+    x = rng.standard_normal((37, q)) * rng.random((37, 1)) * 10.0
+    T = _Hadamard(q)
+    got = T(x.copy())
+    ref = fwht(x)
+    err = np.abs(got - ref).max(axis=1) / np.abs(ref).max(axis=1)
+    assert err.max() <= 1e-13
+    out = np.empty_like(x)
+    assert T(x, out=out) is out
+    assert np.array_equal(out, got)
+    if m <= 4:
+        # one stage: the dense product itself
+        assert len(T.factors) == 1
+        assert np.array_equal(got, x @ hadamard_matrix(q))
+    # on small integers every sum is exact, so the stages must agree
+    # with the butterfly exactly
+    k = rng.integers(-50, 50, size=(37, q)).astype(np.float64)
+    assert np.array_equal(T(k.copy()), fwht(k))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_hadamard_transform_twice_is_q_times_identity(m):
+    q = 1 << m
+    rng = np.random.default_rng(40 + m)
+    T = _Hadamard(q)
+    k = rng.integers(-50, 50, size=(9, q)).astype(np.float64)
+    assert np.array_equal(T(T(k.copy())), q * k)
+    x = rng.random((9, q))
+    assert np.abs(T(T(x.copy())) - q * x).max() <= 1e-13 * q
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +266,12 @@ def test_denoiser_messages_are_probability_vectors(small_code):
         assert np.allclose(arr.sum(axis=1), 1.0, atol=1e-9)
 
 
-def test_vectorized_rounds_match_reference_updates(small_code):
-    """The batched transform-domain rounds must agree edge by edge with
-    direct parity enumeration at the checks and plain products at the
-    variables."""
-    code = small_code
+def _assert_rounds_match_oracle(code, check_oracle, seed):
+    """Two bpn rounds of the shipped denoiser agree edge by edge with
+    plain products at the variables and check_oracle at the checks."""
     field = code.field
     q = field.q
-    rng = np.random.default_rng(8)
+    rng = np.random.default_rng(seed)
     r = rng.standard_normal(code.L * q)
     tau2 = 0.5
 
@@ -261,7 +295,7 @@ def test_vectorized_rounds_match_reference_updates(small_code):
             for e in edges:
                 incoming = [(v2c[j], int(code.edge_label[j]))
                             for j in edges if j != e]
-                c2v[e] = check_update_bruteforce(
+                c2v[e] = check_oracle(
                     incoming, int(code.edge_label[e]), field)
 
     for e in range(code.n_edges):
@@ -272,6 +306,56 @@ def test_vectorized_rounds_match_reference_updates(small_code):
     for l in range(code.L):
         ref = product(alpha[l], c2v[code.var_edges[l]])
         assert np.abs(est[l] - ref).max() < 1e-10
+
+
+def test_vectorized_rounds_match_reference_updates(small_code):
+    """The batched transform-domain rounds must agree edge by edge with
+    direct parity enumeration at the checks and plain products at the
+    variables."""
+    _assert_rounds_match_oracle(small_code, check_update_bruteforce, 8)
+
+
+def test_convolution_oracle_matches_bruteforce():
+    field = GF2m(3)
+    rng = np.random.default_rng(14)
+    for _ in range(10):
+        incoming = [(rng.random(8) + 1e-3, int(rng.integers(1, 8)))
+                    for _ in range(3)]
+        out_label = int(rng.integers(1, 8))
+        slow = check_update_bruteforce(incoming, out_label, field)
+        conv = check_update_convolution(incoming, out_label, field)
+        assert np.abs(conv - slow).max() < 1e-12
+
+
+# codes above q=16, where the check round's transform has two stages
+WIDE_CODES = {
+    64: lambda: build_code(GF2m(6), L=12, P=4, dv=2, seed=3)[0],
+    256: lambda: build_code(GF2m(8), L=8, P=4, dv=2, seed=3)[0],
+}
+
+
+@pytest.mark.parametrize("q", sorted(WIDE_CODES))
+def test_two_stage_rounds_match_convolution_oracle(q):
+    """At q > 16 the radix-16 rounds agree edge by edge with direct
+    F_q-convolution at the checks."""
+    code = WIDE_CODES[q]()
+    assert code.field.q == q
+    _assert_rounds_match_oracle(code, check_update_convolution, 15)
+
+
+@pytest.mark.parametrize("m", [5, 8])
+def test_denoise_stack_equals_each_row_bitwise(m):
+    """A (K, qL) stack denoises to exactly what each row gives alone."""
+    code = build_code(GF2m(m), L=20, P=5, dv=3, seed=6)[0]
+    q = code.field.q
+    rng = np.random.default_rng(16)
+    tau2 = np.array([0.2, 0.5, 0.9])
+    r = rng.standard_normal((3, code.L * q))
+    r[:, ::q] += 1.0
+    stacked = BpDenoiser(code, Schedule("bpn")).denoise(r, tau2, t=2)
+    for k in range(3):
+        alone = BpDenoiser(code, Schedule("bpn")).denoise(r[k], tau2[k], t=2)
+        assert np.array_equal(stacked[k], alone)
 
 
 ORACLE_CODES = {

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import check_round_message
-from srldpc.gf import GF2m, _mul_bitwise, fq_convolve, fwht
+from helpers import check_round_message, fq_convolve
+from srldpc.gf import GF2m, _mul_bitwise, fwht
 
 
 def table_oracle(field):

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from srldpc import harness
@@ -223,6 +224,31 @@ def test_sweep_outputs(tmp_path):
     plot = json.loads((tmp_path / "res.csv.plot.json").read_text())
     assert plot["yscale"] == "log"
     assert len(plot["series"][0]["x"]) == 2
+
+
+def test_sweep_meta_records_aborts_per_point(tmp_path, monkeypatch):
+    """A trial whose observation is not finite aborts the decoder; the
+    sidecar lists each point's abort count, and the CSV is unchanged."""
+    real = harness.trial_observation
+
+    def observation(cfg, encoder, A, sigma2, snr_index, trial):
+        bits, v, y = real(cfg, encoder, A, sigma2, snr_index, trial)
+        if snr_index == 1 and trial == 0:
+            y = np.full_like(y, np.nan)
+        return bits, v, y
+
+    monkeypatch.setattr(harness, "trial_observation", observation)
+    cfg = SimConfig(**{**SMALL, "ebno_db": (8.0, 9.0), "trials": 2,
+                       "target_errors": 50})
+    out = tmp_path / "res.csv"
+    rows = sweep(cfg, out_csv=out)
+    assert [row.aborts for row in rows] == [0, 1]
+    meta = json.loads((tmp_path / "res.csv.meta.json").read_text())
+    assert meta["points"] == [{"ebno_db": 8.0, "aborts": 0},
+                              {"ebno_db": 9.0, "aborts": 1}]
+    text = out.read_text().splitlines()
+    assert text[0] == RESULTS_HEADER
+    assert text[1:] == [row.csv_row() for row in rows]
 
 
 def test_sweep_csv_golden(tmp_path):
