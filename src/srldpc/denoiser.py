@@ -9,29 +9,32 @@ local observation.  Check updates convolve messages over F_q in the
 Walsh-Hadamard domain; edge labels are absorbed into the messages as
 index permutations before convolving and reapplied afterwards.
 
-Message arrays are laid out per edge, sorted by (check, slot), matching
-the edge order of the code object.  All stored messages are probability
+One denoiser decodes K trials in lockstep.  Local posteriors are held
+as (sections, trials, q) and messages in two padded (edges + 1, trials,
+q) buffers, one per direction, whose rows 0..E-1 follow the code's edge
+order, sorted by (check, slot).  Row E is neutral: all ones for c2v and
+the point mass at 0 for v2c, whose Walsh-Hadamard transform is exactly
+all ones.  Every round rewrites both buffers in place; the v2c and c2v
+properties are views of them.  All stored messages are probability
 vectors; entries are floored at 1e-30 after normalization so hard zeros
 cannot annihilate later Hadamard products.
 
-One denoiser decodes K trials in lockstep.  Messages are held as
-(edges, trials, q) and local posteriors as (sections, trials, q), so
-every step of a round runs once for all K trials.  Each round gathers
-messages slot-major: the padded adjacency is stored as (slots, nodes),
-so a gather yields a contiguous (slots, nodes, trials, q) stack and the
-exclusive product runs over whole (nodes, trials, q) slices, one slot at
-a time.  Padded slots point at a neutral all-ones row.  Label
-permutations are flat integer gathers: one map absorbs the labels into
-v2c, and one map sends the check outputs back to edge order and
-reapplies the labels; both depend on K and are rebuilt when it changes.
-Both Walsh-Hadamard transforms of a check round run on the (edges *
-trials, q) rows as one stack: one product against H_q for q <= 16, and
-above that two radix-16 stages, a product against H_16 and a stacked
-np.matmul with H_{q/16}, which at q=256 take 2q(16 + q/16) flops per
-row instead of 2q^2.  Every entry goes through the same floating-point
-operations as in a one-trial denoiser, so a trial's results do not
-depend on the trials batched with it.  compact() drops finished trials
-from the batch.
+Each half-round is one gather in, a product, one gather out.  The
+padded adjacency is stored slot-major as (slots, nodes), with padded
+slots on row E, so a gather yields a contiguous (slots, nodes, trials,
+q) stack and the exclusive product runs over whole (nodes, trials, q)
+slices, one slot at a time.  The variable half gathers c2v, multiplies
+in alpha and takes each edge's row into v2c.  The check half's one flat
+take absorbs the labels into v2c and lays it out slot-major; both
+Walsh-Hadamard transforms run on those slot-major rows, and one flat
+take sends them back to edge order with the labels reapplied, into
+c2v.  The two label maps depend on K and are rebuilt when it changes.
+A transform is one product against H_q for q <= 16, and above that two
+radix-16 stages, a product against H_16 and a stacked np.matmul with
+H_{q/16}, which at q=256 take 2q(16 + q/16) flops per row instead of
+2q^2.  Every entry goes through the same floating-point operations as
+in a one-trial denoiser, so a trial's results do not depend on the
+trials batched with it.  compact() drops finished trials from the batch.
 """
 
 import math
@@ -143,7 +146,7 @@ def divergence_terms(s_hat):
 
 
 def _normalize_rows(mat):
-    """Normalize the rows (last axis) of a fresh array, in place, to
+    """Normalize the rows (last axis) of an array, in place, to
     probability vectors.
 
     Rows whose total is zero or not finite fall back to uniform; every
@@ -182,29 +185,24 @@ class BpDenoiser:
         self.field = code.field
         self.schedule = schedule
 
-        E = code.n_edges
-        self._hadamard = _Hadamard(self.field.q)
+        q = self.field.q
+        self._hadamard = _Hadamard(q)
 
-        # Slot-major padded gather maps (slots, nodes); the dummy edge id
-        # E points at a neutral row (uniform message, all-ones spectrum).
-        # A gather through them yields a (slots, nodes, trials, q) stack
-        # whose flat (slot, node) row of each edge is recorded once here.
-        self._var_pad, rows, ids = _slot_major(code.var_edges, E)
-        self._var_sel = np.empty(E, dtype=np.intp)
-        self._var_sel[ids] = rows
-        # check rows stay in (check, slot) order for the inverse transform
-        self._chk_pad, self._chk_sel, ids = _slot_major(code.chk_edges, E)
-        self._unorder = np.empty(E, dtype=np.intp)
-        self._unorder[ids] = np.arange(E)
+        # Slot-major padded gather maps (slots, nodes), padded with E, and
+        # each edge's flat (slot, node) row in a gathered stack.
+        self._var_pad, self._var_rows = _slot_major(code.edge_var, code.L)
+        self._chk_pad, chk_rows = _slot_major(code.edge_chk, code.P)
         mul = self.field.mul_table
-        labels = code.edge_label
-        # Flat label maps of one trial; _resize widens them to K trials.
-        # absorbed[e, g] = v2c[e, g * inv(label_e)], as a flat index
-        self._absorb1 = (np.arange(E)[:, None] * self.field.q
-                         + mul[:, self.field.inv(labels)].T)
-        # c2v[e, g] = conv[unorder[e], g * label_e], as a flat index
-        self._relabel1 = (self._unorder[:, None] * self.field.q
-                          + mul[:, labels].T)
+        # Flat label maps of one trial, built in place; _label_maps widens
+        # them to K trials.  Padded slots keep the neutral row as it is.
+        # absorbed[s * P + c, g] = v2c[e, g * inv(label_e)], e = chk_pad[s, c]
+        labels = np.append(code.edge_label, 1)[self._chk_pad.ravel()]
+        absorb = mul[self.field.inv(labels)]
+        absorb += self._chk_pad.reshape(-1, 1) * q
+        # c2v[e, g] = conv[chk_rows[e], g * label_e]
+        relabel = mul[code.edge_label]
+        relabel += chk_rows[:, None] * q
+        self._maps1 = (absorb, relabel)
 
         self._alpha = None
         self._single = True
@@ -215,10 +213,8 @@ class BpDenoiser:
         E, q = self.code.n_edges, self.field.q
         self.trials = trials
         self._maps = None
-        # c2v rows live inside a padded buffer whose last row is the
-        # neutral all-ones row, so gathers need no stacking per round.
         self._c2v_pad = np.empty((E + 1, trials, q))
-        self._v2c = np.empty((E, trials, q))
+        self._v2c_pad = np.empty((E + 1, trials, q))
         self._underflow = np.zeros(trials, dtype=np.int64)
         self._sub_girth = np.zeros(trials, dtype=np.int64)
         self.reset_messages()
@@ -229,7 +225,7 @@ class BpDenoiser:
         self.trials = len(keep)
         self._maps = None
         self._c2v_pad = self._c2v_pad.take(keep, axis=1)
-        self._v2c = self._v2c.take(keep, axis=1)
+        self._v2c_pad = self._v2c_pad.take(keep, axis=1)
         self._underflow = self._underflow[keep]
         self._sub_girth = self._sub_girth[keep]
         if self._alpha is not None:
@@ -239,11 +235,8 @@ class BpDenoiser:
         """(absorb, relabel) flat label maps for the current batch size,
         built by the first check round after it changes."""
         if self._maps is None:
-            E, q = self.code.n_edges, self.field.q
-            self._maps = (
-                _widen(self._absorb1, np.arange(E), self.trials, q),
-                _widen(self._relabel1, self._unorder, self.trials, q),
-            )
+            self._maps = tuple(_widen(flat, self.trials, self.field.q)
+                               for flat in self._maps1)
         return self._maps
 
     def _view(self, a):
@@ -269,7 +262,7 @@ class BpDenoiser:
 
     @property
     def v2c(self):
-        return self._view(self._v2c)
+        return self._view(self._v2c_pad[: self.code.n_edges])
 
     @property
     def c2v(self):
@@ -282,7 +275,9 @@ class BpDenoiser:
     def reset_messages(self):
         q = self.field.q
         E = self.code.n_edges
-        self._v2c[...] = 1.0 / q
+        self._v2c_pad[:E] = 1.0 / q
+        self._v2c_pad[E] = 0.0
+        self._v2c_pad[E, :, 0] = 1.0
         self._c2v_pad[:E] = 1.0 / q
         self._c2v_pad[E] = 1.0
 
@@ -317,36 +312,25 @@ class BpDenoiser:
         self._check_round()
 
     def _variable_round(self):
-        if self.code.n_edges == 0:
-            return
+        v2c = self._v2c_pad[: self.code.n_edges]
         excl = _excl_prod(self._c2v_pad[self._var_pad])
         excl *= self._alpha
-        msgs = excl.reshape(-1, self.trials, self.field.q)[self._var_sel]
-        self._v2c = self._renorm(msgs)
+        np.take(excl.reshape(-1, self.trials, self.field.q), self._var_rows,
+                axis=0, out=v2c, mode="clip")
+        self._renorm(v2c)
 
     def _check_round(self):
-        E = self.code.n_edges
-        if E == 0:
-            return
-        q, trials = self.field.q, self.trials
-        absorb, relabel = self._label_maps()
-        # Chained, so that each (edges, trials, q) temporary is freed as
-        # soon as the next one exists: peak memory grows with the batch.
-        conv = self._hadamard(_excl_prod(self._check_spectra(absorb)).reshape(
-            -1, trials, q)[self._chk_sel].reshape(-1, q))
-        conv *= 1.0 / q
-        np.maximum(conv, 0.0, out=conv)
-        self._c2v_pad[:E] = self._renorm(conv.take(relabel))
-
-    def _check_spectra(self, absorb):
-        """Transforms of the label-absorbed v2c, gathered slot-major as
-        (slots, checks, trials, q); padded slots read an all-ones row."""
         E, q = self.code.n_edges, self.field.q
-        spectra = np.empty((E + 1, self.trials, q))
-        spectra[E] = 1.0
-        self._hadamard(self._v2c.take(absorb).reshape(-1, q),
-                       out=spectra[:E].reshape(-1, q))
-        return spectra[self._chk_pad]
+        absorb, relabel = self._label_maps()
+        # Chained, so that each slot-major temporary is freed as soon as
+        # the next one exists: peak memory grows with the batch.
+        conv = self._hadamard(_excl_prod(self._hadamard(
+            self._v2c_pad.take(absorb).reshape(-1, q)).reshape(
+                len(self._chk_pad), -1, q)).reshape(-1, q))
+        c2v = np.take(conv, relabel, out=self._c2v_pad[:E], mode="clip")
+        c2v *= 1.0 / q
+        np.maximum(c2v, 0.0, out=c2v)
+        self._renorm(c2v)
 
     def estimate(self):
         """Per-section posterior (L, q), or (L, K, q) for a batch,
@@ -356,10 +340,7 @@ class BpDenoiser:
     def _estimate(self):
         if self._alpha is None:
             raise RuntimeError("init_alpha must run before estimate")
-        if self.code.n_edges == 0:
-            prod = np.ones_like(self._alpha)
-        else:
-            prod = self._c2v_pad[self._var_pad].prod(axis=0)
+        prod = self._c2v_pad[self._var_pad].prod(axis=0)
         return self._renorm(prod * self._alpha)
 
     def _renorm(self, mat):
@@ -376,40 +357,31 @@ class BpDenoiser:
         return per_trial[0] if self._single else per_trial
 
 
-def _pad_adjacency(edge_lists, dummy):
-    """Stack variable-length edge-id lists into a padded matrix + mask."""
-    n = len(edge_lists)
-    width = max((len(e) for e in edge_lists), default=0)
-    width = max(width, 1)
-    pad = np.full((n, width), dummy, dtype=np.int64)
-    mask = np.zeros((n, width), dtype=bool)
-    for i, ids in enumerate(edge_lists):
-        pad[i, : len(ids)] = ids
-        mask[i, : len(ids)] = True
-    return pad, mask
+def _slot_major(node_of_edge, n_nodes):
+    """Padded (slots, nodes) edge ids for slot-major gathers, pads holding
+    the dummy id E = len(node_of_edge), and each edge's flat row
+    slot * n_nodes + node in a gathered (slots * n_nodes, ...) stack.
 
-
-def _slot_major(edge_lists, dummy):
-    """Padded (slots, nodes) edge-id matrix for slot-major gathers.
-
-    Also returns, for each real entry in (node, slot) order, its flat row
-    s * nodes + i in a gathered (slots * nodes, q) stack and its edge id.
+    An edge's slot is its rank among its node's edges by id.
     """
-    pad, mask = _pad_adjacency(edge_lists, dummy)
-    node, slot = np.nonzero(mask)
-    rows = slot * len(edge_lists) + node
-    return np.ascontiguousarray(pad.T), rows, pad[mask]
+    E = len(node_of_edge)
+    deg = np.bincount(node_of_edge, minlength=n_nodes)
+    slot = np.empty(E, dtype=np.intp)
+    slot[np.argsort(node_of_edge, kind="stable")] = (
+        np.arange(E) - np.repeat(np.cumsum(deg) - deg, deg))
+    pad = np.full((max(deg.max(initial=0), 1), n_nodes), E, dtype=np.intp)
+    pad[slot, node_of_edge] = np.arange(E)
+    return pad, slot * n_nodes + node_of_edge
 
 
-def _widen(flat, rows, trials, q):
+def _widen(flat, trials, q):
     """Flat indices into a (rows, trials, q) array from the flat indices
     row * q + g of one trial: row r moves to r * trials * q and trial k
-    adds k * q.  They stay intp, so take() needs no cast."""
+    adds k * q."""
     if trials == 1:
         return flat[:, None, :]
-    shift = (rows * ((trials - 1) * q))[:, None, None]
-    return (flat[:, None, :] + shift
-            + (np.arange(trials) * q)[:, None]).astype(np.intp, copy=False)
+    shift = flat[:, :1] // q * ((trials - 1) * q)
+    return (flat + shift)[:, None, :] + (np.arange(trials) * q)[:, None]
 
 
 def _excl_prod(a):

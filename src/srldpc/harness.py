@@ -12,9 +12,10 @@ amp.decode_batch, which runs the batch in lockstep through one AMP loop
 and one BP denoiser holding the messages as (edges, trials, q); a trial
 that stops is compacted out while the others go on.  Each trial's result
 is bitwise the one it gets when decoded alone, so every tally depends
-only on (config, seed).  Tallies are added in trial index order.  run_point sizes each batch so that it
-cannot pass the target_errors stop: the run ends at the same trial as a
-one-by-one loop, and no trial past it is decoded.
+only on (config, seed).  Tallies are added in trial index order.
+run_point sizes each batch so that it cannot pass the target_errors
+stop: the run ends at the same trial as a one-by-one loop, and no trial
+past it is decoded.
 """
 
 import json
@@ -24,6 +25,7 @@ from dataclasses import dataclass, asdict, fields, replace
 
 import numpy as np
 
+# run_trial and decode stay: perfbench traces them by name (ROADMAP dir. 3).
 from .amp import DecoderParams, decode, decode_batch, tau2_floor_for
 from .codec import (
     DesignMatrix, snr_to_sigma2, index_codeword, awgn,
@@ -482,7 +484,8 @@ def se_vs_truth(cfg, ebno_db, trials, psi=None, out_csv=None):
             range(start, min(start + BATCH, trials)))
     ]), axis=0)
 
-    se_trace = se_predict(cfg, ebno_db, psi=psi)
+    se_trace = approximate_se(code, cfg.n, sigma2, T, Schedule(cfg.schedule),
+                              psi=psi)
     rows = []
     for t in range(T + 1):
         mc = float(tau2_mc[t])

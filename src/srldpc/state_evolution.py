@@ -424,9 +424,13 @@ def build_candidates(field, candidates, dv, seed=0):
 
 
 def score_candidates(built, B, n, ebno_db, schedule, T=20, psi=None):
-    """Approximate-SE residual of each built (L, P, code) candidate, all
-    run as one approximate_se_batch.  Returns rows sorted by rate;
-    best_candidate picks the residual minimizer."""
+    """Approximate-SE residual of each built (L, P, code) candidate after
+    T iterations, all run as one approximate_se_batch.  Returns rows
+    sorted by rate; best_candidate picks the residual minimizer.
+
+    harness.rate_sweep (so `srldpc tune-rate`) leaves T at 20, whatever
+    the config's amp_iters, so a rate is chosen for a 20-iteration
+    decoder."""
     sigma2s = [snr_to_sigma2(ebno_db, B, L) for L, _, _ in built]
     traces = approximate_se_batch([code for _, _, code in built], n,
                                   sigma2s, T, schedule, psi)

@@ -10,10 +10,12 @@ reference_bp_round and reference_estimate keep the earlier node-major
 form of the BP round (cumprod exclusive products, take_along_axis label
 permutations, boolean-mask gathers), which does the same floating-point
 operations in the same order as the shipped slot-major round, so the
-two must agree bit for bit.  reference_peg_construct is the earlier form of
-ldpc.peg_construct, a variable/check BFS per placed edge with the girth
-left to compute_girth; the shipped construction must give the same
-edges and girth.  reference_approximate_se is the earlier one-code
+two must agree bit for bit; _pad_adjacency is their node-major padded
+adjacency, and the oracle for the shipped slot-major layout.
+reference_peg_construct is the earlier form of ldpc.peg_construct, a
+variable/check BFS per placed edge with the girth left to
+compute_girth; the shipped construction must give the same edges and
+girth.  reference_approximate_se is the earlier one-code
 form of state_evolution.approximate_se (padded cumprod check round,
 np.add.at variable sums); the batched recursion must reproduce its
 trajectories bit for bit.
@@ -23,9 +25,7 @@ import itertools
 
 import numpy as np
 
-from srldpc.denoiser import (
-    MSG_FLOOR, BpDenoiser, Schedule, _pad_adjacency, hadamard_matrix,
-)
+from srldpc.denoiser import MSG_FLOOR, BpDenoiser, Schedule, hadamard_matrix
 from srldpc.ldpc import LdpcCode, check_peg_profile, syndrome_check
 
 
@@ -154,6 +154,19 @@ def _reference_normalize(mat):
         totals = mat.sum(axis=-1, keepdims=True)
     mat = np.maximum(mat / totals, MSG_FLOOR)
     return mat / mat.sum(axis=-1, keepdims=True), int(bad.sum())
+
+
+def _pad_adjacency(edge_lists, dummy):
+    """Stack variable-length edge-id lists into a padded matrix + mask."""
+    n = len(edge_lists)
+    width = max((len(e) for e in edge_lists), default=0)
+    width = max(width, 1)
+    pad = np.full((n, width), dummy, dtype=np.int64)
+    mask = np.zeros((n, width), dtype=bool)
+    for i, ids in enumerate(edge_lists):
+        pad[i, : len(ids)] = ids
+        mask[i, : len(ids)] = True
+    return pad, mask
 
 
 def reference_bp_round(code, alpha, v2c, c2v):

@@ -268,13 +268,15 @@ def test_decode_non_finite_aborts(desk):
 # Batched decode
 # ---------------------------------------------------------------------------
 
-def _desk_trials(schedule):
-    """The pinned desk trials (master seed 1, 4.25 dB, trials 0..63):
-    code, encoder, matrix, decoder settings and the 64 observations."""
-    cfg = harness.SimConfig(schedule=schedule, seed=1, trials=64,
-                            target_errors=64, ebno_db=(4.25,))
+def _desk_trials(schedule, **overrides):
+    """The pinned desk trials (master seed 1, 4.25 dB, trials 0..63), or
+    those of the desk config with overrides: code, encoder, matrix,
+    decoder settings and the observations."""
+    cfg = harness.SimConfig(**{"schedule": schedule, "seed": 1, "trials": 64,
+                               "target_errors": 64, "ebno_db": (4.25,),
+                               **overrides})
     _, code, enc = harness.build_experiment(cfg)
-    sigma2 = harness._sigma2(cfg, 4.25)
+    sigma2 = harness._sigma2(cfg, cfg.ebno_db[0])
     params = harness.decoder_params(cfg, tau2_floor_for(sigma2))
     A = harness.design_matrix(cfg, 0)
     Y = np.stack([harness.trial_observation(cfg, enc, A, sigma2, 0, t)[2]
@@ -292,12 +294,20 @@ def _assert_same_result(got, want):
         assert getattr(got, name) == getattr(want, name), name
 
 
-@pytest.mark.parametrize("schedule", ["bpn", "bp0", "bp1kg"])
-def test_decode_batch_equals_decode_bitwise(schedule):
+# check degrees 17 and 18, so that compaction runs on padded slot-major maps
+IRREGULAR = dict(m=4, L=40, P=7, B=132, n=165, trials=16, ebno_db=(4.5,))
+
+
+@pytest.mark.parametrize("schedule, overrides", [
+    ("bpn", {}), ("bp0", {}), ("bp1kg", {}),
+    ("bpn", IRREGULAR), ("bp0", IRREGULAR), ("bp1kg", IRREGULAR),
+], ids=["bpn", "bp0", "bp1kg",
+        "bpn-irregular", "bp0-irregular", "bp1kg-irregular"])
+def test_decode_batch_equals_decode_bitwise(schedule, overrides):
     """Batches of 8 give every trial bit for bit its result decoded
     alone, including the failing trials that run the final BP while
     their batch mates are compacted out."""
-    code, enc, A, params, Y = _desk_trials(schedule)
+    code, enc, A, params, Y = _desk_trials(schedule, **overrides)
     batched = []
     for start in range(0, len(Y), 8):
         batched += decode_batch(Y[start:start + 8], [A] * 8, code, enc,

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from helpers import (
-    check_round_message, check_update_bruteforce, check_update_convolution,
-    exhaustive_posteriors, fq_convolve, reference_bp_round,
-    reference_estimate,
+    _pad_adjacency, check_round_message, check_update_bruteforce,
+    check_update_convolution, exhaustive_posteriors, fq_convolve,
+    reference_bp_round, reference_estimate,
 )
 from srldpc.denoiser import (
-    BpDenoiser, Schedule, _Hadamard, divergence_terms, hadamard_matrix,
-    local_posterior,
+    BpDenoiser, Schedule, _Hadamard, _slot_major, divergence_terms,
+    hadamard_matrix, local_posterior,
 )
 from srldpc.gf import GF2m, fwht
 from srldpc.harness import SimConfig, build_experiment
@@ -329,24 +329,28 @@ def test_convolution_oracle_matches_bruteforce():
 
 # codes above q=16, where the check round's transform has two stages
 WIDE_CODES = {
-    64: lambda: build_code(GF2m(6), L=12, P=4, dv=2, seed=3)[0],
-    256: lambda: build_code(GF2m(8), L=8, P=4, dv=2, seed=3)[0],
+    "64": lambda: build_code(GF2m(6), L=12, P=4, dv=2, seed=3)[0],
+    "256": lambda: build_code(GF2m(8), L=8, P=4, dv=2, seed=3)[0],
+    # check degrees 4 and 5, so padded check slots take part
+    "64-irregular": lambda: build_code(GF2m(6), L=12, P=5, dv=2, seed=3)[0],
 }
 
 
-@pytest.mark.parametrize("q", sorted(WIDE_CODES))
-def test_two_stage_rounds_match_convolution_oracle(q):
+@pytest.mark.parametrize("case", sorted(WIDE_CODES))
+def test_two_stage_rounds_match_convolution_oracle(case):
     """At q > 16 the radix-16 rounds agree edge by edge with direct
     F_q-convolution at the checks."""
-    code = WIDE_CODES[q]()
-    assert code.field.q == q
+    code = WIDE_CODES[case]()
+    assert code.field.q == int(case.split("-")[0])
     _assert_rounds_match_oracle(code, check_update_convolution, 15)
 
 
-@pytest.mark.parametrize("m", [5, 8])
-def test_denoise_stack_equals_each_row_bitwise(m):
-    """A (K, qL) stack denoises to exactly what each row gives alone."""
-    code = build_code(GF2m(m), L=20, P=5, dv=3, seed=6)[0]
+@pytest.mark.parametrize("m, L", [(5, 20), (8, 20), (5, 21), (8, 21)],
+                         ids=["5", "8", "5-irregular", "8-irregular"])
+def test_denoise_stack_equals_each_row_bitwise(m, L):
+    """A (K, qL) stack denoises to exactly what each row gives alone; at
+    L=21 the check degrees are 12 and 13, so padded slots take part."""
+    code = build_code(GF2m(m), L=L, P=5, dv=3, seed=6)[0]
     q = code.field.q
     rng = np.random.default_rng(16)
     tau2 = np.array([0.2, 0.5, 0.9])
@@ -406,6 +410,36 @@ def test_bp_round_bitwise_matches_reference(case, schedule):
             rounds += 1
     assert rounds >= 5
     assert (underflow > 0) == (case == "underflow")
+
+
+LAYOUT_CODES = {
+    "desk": ORACLE_CODES["desk"],
+    "irregular": ORACLE_CODES["irregular"],
+    "uncoded": lambda: build_code(GF2m(4), L=12, P=0, dv=3, seed=0)[0],
+    # one variable joined to three degree-1 checks
+    "star": lambda: LdpcCode(GF2m(2), 1, 3, np.zeros(3, dtype=np.int64),
+                             np.arange(3), np.ones(3, dtype=np.int64)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAYOUT_CODES))
+def test_slot_major_layout_matches_node_major_oracle(case):
+    """Each edge sits once at its (slot, node) of the node-major padded
+    adjacency, pads hold E, and each edge's row picks the edge out of a
+    gathered stack."""
+    code = LAYOUT_CODES[case]()
+    E = code.n_edges
+    for node_of_edge, n_nodes, edge_lists in (
+            (code.edge_var, code.L, code.var_edges),
+            (code.edge_chk, code.P, code.chk_edges)):
+        pad, rows = _slot_major(node_of_edge, n_nodes)
+        ref, mask = _pad_adjacency(edge_lists, E)
+        assert np.array_equal(pad, ref.T)
+        assert np.array_equal(np.sort(pad[mask.T]), np.arange(E))
+        assert np.all(pad[~mask.T] == E)
+        msgs = np.arange(2.0 * (E + 1)).reshape(E + 1, 2)
+        stack = msgs[pad].reshape(-1, 2)
+        assert np.array_equal(stack[rows], msgs[:E])
 
 
 def test_cycle_free_code_exact_posteriors():

@@ -305,6 +305,23 @@ def test_se_vs_truth_rows(tmp_path, psi8):
     assert path.read_text().splitlines()[0] == "t,tau2_mc,tau2_se,rel_err"
 
 
+def test_se_vs_truth_builds_the_code_once(monkeypatch, psi8):
+    """se_vs_truth predicts on the code it decodes with, and its SE column
+    is se_predict's trajectory bit for bit."""
+    cfg = SimConfig(**{**SMALL, "amp_iters": 4})
+    predicted = se_predict(cfg, 8.0, psi=psi8).tau2
+    calls = []
+
+    def counting_build_code(*args, **kwargs):
+        calls.append(args)
+        return build_code(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "build_code", counting_build_code)
+    rows = se_vs_truth(cfg, 8.0, trials=20, psi=psi8)
+    assert len(calls) == 1
+    assert [row[2] for row in rows] == predicted.tolist()
+
+
 def test_se_vs_truth_requires_trials(psi8):
     cfg = SimConfig(**SMALL)
     with pytest.raises(ValueError):
