@@ -6,6 +6,9 @@ package was never installed, so ``[project.scripts]`` entries such as
 a session fixture writes a launcher equivalent to the wrapper pip
 generates and prepends its directory to PATH for the session.  Scripts
 already on PATH (installed environments) are used unchanged.
+
+The cpus fixture sets the CPU count of the affinity mask that harness
+reads, and with it the number of workers that decode a point's batches.
 """
 
 import os
@@ -61,3 +64,12 @@ def console_scripts_on_path(tmp_path_factory):
     with pytest.MonkeyPatch.context() as mp:
         mp.setenv("PATH", str(bin_dir) + os.pathsep + os.environ.get("PATH", ""))
         yield
+
+
+@pytest.fixture()
+def cpus(monkeypatch):
+    """cpus(k) makes os.sched_getaffinity report k CPUs for the test."""
+    def force(count):
+        monkeypatch.setattr(os, "sched_getaffinity",
+                            lambda pid: set(range(count)), raising=False)
+    return force

@@ -1,10 +1,11 @@
+import os
 import subprocess
 
 import numpy as np
 import pytest
 
 from srldpc.cli import main
-from srldpc.harness import SimConfig, save_config
+from srldpc.harness import ConfigError, SimConfig, save_config
 
 SMALL = dict(m=3, L=24, P=6, dv=2, B=54, n=120, amp_iters=8,
              final_bp_iters=10, seed=3, trials=4, target_errors=5,
@@ -200,6 +201,29 @@ def test_library_value_error_exit_2(tmp_path, cfg_path, monkeypatch, capsys):
     assert rc == 2
     assert "runtime failure: ValueError" in capsys.readouterr().err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("error, code, prefix", [
+    (ConfigError, 1, "config error: "),
+    (ValueError, 2, "runtime failure: ValueError: "),
+])
+def test_simulate_worker_error_keeps_its_type(tmp_path, cpus, monkeypatch,
+                                              capsys, error, code, prefix):
+    """An error raised while a forked worker decodes a batch reaches the
+    CLI with its type, so the exit code means what it does inline."""
+    def failing_decode_batch(*args, **kwargs):
+        raise error(f"decoded in {os.getpid()}")
+
+    cpus(2)
+    monkeypatch.setattr("srldpc.harness.decode_batch", failing_decode_batch)
+    cfg = tmp_path / "cfg.txt"
+    save_config(SimConfig(**{**SMALL, "trials": 16}), cfg)
+    rc = main(["simulate", "--config", str(cfg),
+               "--out", str(tmp_path / "res.csv")])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix + "decoded in ")
+    assert int(err.split()[-1]) != os.getpid()
 
 
 def test_encode_wrong_bit_count_exit_1(tmp_path, cfg_path):

@@ -1,4 +1,8 @@
+import ctypes
 import json
+import multiprocessing
+import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -187,6 +191,90 @@ def test_run_point_target_errors_matches_serial_loop(policy):
     assert row.mean_tau2_final == tau2 / trials
 
 
+@pytest.mark.parametrize("overrides", [
+    {"trials": 20, "target_errors": 100, "ebno_db": (4.0,)},
+    {"trials": 20, "target_errors": 100, "ebno_db": (4.0,),
+     "matrix_policy": "per_trial"},
+    # stops inside the first batch while the second is in flight
+    {"trials": 40, "target_errors": 3, "ebno_db": (3.0,)},
+], ids=["fixed", "per_trial", "stop_in_flight"])
+def test_run_point_same_for_one_and_two_workers(cpus, overrides):
+    cfg = SimConfig(**{**SMALL, **overrides})
+    ebno = cfg.ebno_db[0]
+    rows = []
+    for count in (1, 2):
+        cpus(count)
+        rows.append(replace(run_point(cfg, ebno), wall_s=0.0))
+    assert rows[0] == rows[1]
+    assert rows[0].codeword_errors > 0
+    if cfg.target_errors < cfg.trials:
+        assert rows[0].trials < harness.BATCH
+
+
+def test_run_point_leaves_no_worker_running(cpus, monkeypatch):
+    """The pool is gone when run_point returns, after an early stop too,
+    and when a worker raises; the error keeps its type."""
+    cpus(2)
+    cfg = SimConfig(**{**SMALL, "trials": 40, "target_errors": 3,
+                       "ebno_db": (3.0,)})
+    run_point(cfg, 3.0)
+    assert multiprocessing.active_children() == []
+
+    def failing_decode_batch(*args, **kwargs):
+        raise ConfigError(f"decoded in {os.getpid()}")
+
+    monkeypatch.setattr(harness, "decode_batch", failing_decode_batch)
+    with pytest.raises(ConfigError, match="decoded in") as info:
+        run_point(cfg, 3.0)
+    assert int(str(info.value).split()[-1]) != os.getpid()
+    assert multiprocessing.active_children() == []
+
+
+def test_run_point_raises_when_a_worker_dies(cpus, monkeypatch):
+    """A worker that exits without a result (killed by the kernel, say)
+    is a runtime error, not a run that waits for it forever."""
+    cpus(2)
+    monkeypatch.setattr(harness, "decode_batch",
+                        lambda *args, **kwargs: os._exit(1))
+    with pytest.raises(RuntimeError, match="worker process exited"):
+        run_point(SimConfig(**{**SMALL, "trials": 16}), 8.0)
+    assert multiprocessing.active_children() == []
+
+
+def _openblas_thread_getters():
+    """The thread-count getter of each OpenBLAS loaded in this process."""
+    if not os.path.exists("/proc/self/maps"):
+        return []
+    with open("/proc/self/maps") as fh:
+        paths = {line.split(maxsplit=5)[-1].strip() for line in fh
+                 if "openblas" in line}
+    getters = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                getter = getattr(lib, name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                getters.append(getter)
+                break
+    return getters
+
+
+def test_workers_run_blas_on_one_thread(cpus):
+    """Each worker runs every OpenBLAS in the process on one thread, so
+    the workers do not contend with each other's BLAS threads."""
+    getters = _openblas_thread_getters()
+    if not getters:
+        pytest.skip("no OpenBLAS with a known thread-count getter loaded")
+    cpus(2)
+    job = lambda batch: [getter() for getter in getters]  # noqa: E731
+    with harness._decoded_batches(job, harness._trial_batches(16)) as counts:
+        assert list(counts) == [[1] * len(getters)] * 2
+
+
 def test_matrix_for_per_trial_needs_trial():
     cfg = SimConfig(**{**SMALL, "matrix_policy": "per_trial"})
     with pytest.raises(ConfigError, match="per_trial"):
@@ -221,6 +309,7 @@ def test_sweep_outputs(tmp_path):
     assert meta["matrix_policy"] == "fixed"
     assert meta["primitive_polynomial"] == "0xB"
     assert meta["config"]["seed"] == 3
+    assert meta["workers"] == 1
     plot = json.loads((tmp_path / "res.csv.plot.json").read_text())
     assert plot["yscale"] == "log"
     assert len(plot["series"][0]["x"]) == 2
@@ -272,6 +361,24 @@ def test_sweep_csv_golden(tmp_path):
         assert len(line.split(",")) == 9
 
 
+def test_sweep_csv_same_for_one_and_two_workers(tmp_path, cpus):
+    """The CSV is byte for byte the same apart from wall_s, and the
+    sidecar records the worker count."""
+    cfg = SimConfig(**{**SMALL, "ebno_db": (4.0, 8.0), "trials": 20,
+                       "target_errors": 100})
+    lines = []
+    for count in (1, 2):
+        cpus(count)
+        out = tmp_path / f"res{count}.csv"
+        sweep(cfg, out_csv=out)
+        lines.append([line.rsplit(",", 1)[0]
+                      for line in out.read_text().splitlines()])
+        meta = json.loads((tmp_path / f"res{count}.csv.meta.json")
+                          .read_text())
+        assert meta["workers"] == count
+    assert lines[0] == lines[1]
+
+
 # ---------------------------------------------------------------------------
 # SE entry points
 # ---------------------------------------------------------------------------
@@ -320,6 +427,15 @@ def test_se_vs_truth_builds_the_code_once(monkeypatch, psi8):
     rows = se_vs_truth(cfg, 8.0, trials=20, psi=psi8)
     assert len(calls) == 1
     assert [row[2] for row in rows] == predicted.tolist()
+
+
+def test_se_vs_truth_same_for_one_and_two_workers(cpus, psi8):
+    cfg = SimConfig(**{**SMALL, "amp_iters": 4})
+    rows = []
+    for count in (1, 2):
+        cpus(count)
+        rows.append(se_vs_truth(cfg, 8.0, trials=20, psi=psi8))
+    assert rows[0] == rows[1]
 
 
 def test_se_vs_truth_requires_trials(psi8):
