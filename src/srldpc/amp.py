@@ -18,8 +18,10 @@ decode_batch runs K trials in lockstep through one AMP loop and one
 BpDenoiser: the AMP state holds one row per trial, A s and A^T z stay
 one float32 matrix-vector product per trial, and the denoiser runs each
 BP round once for the whole batch.  Every trial keeps its own tau^2,
-Onsager carry, early stop, termination reason, final-BP tail and
-denoiser counters; a trial that stops is compacted out of the batch.
+Onsager carry, termination reason, final-BP tail and denoiser counters.
+Each AMP iteration and each final-BP round makes one stop decision: one
+syndrome_check of the (trials, L) symbol stack masks the trials that
+stop there, which are recorded and compacted out of the batch together.
 Each trial's result is bitwise the result of decoding it alone, which
 decode does (a batch of one).
 """
@@ -148,25 +150,26 @@ def decode_batch(Y, As, code, encoder, params):
     rows = np.arange(len(Y))   # the row of Y behind each batch position
     trace = np.empty((params.amp_iters, len(Y)))
 
-    def finish(i, symbols, success, bp_rounds, reason):
-        """Record the result of batch position i."""
-        bits = symbols_to_bits(symbols[encoder.message_positions],
-                               code.field.m)
-        results[rows[i]] = DecodeResult(
-            bits=bits, symbols=symbols.copy(), success=success,
-            iterations_used=state.t, final_bp_rounds=bp_rounds,
-            tau2_trace=trace[: state.t, rows[i]].copy(),
-            termination_reason=reason, denoiser_metadata=den.metadata()[i],
-        )
-
-    def compact(done):
-        """Drop the finished positions from every per-trial array."""
+    def finish(done, success, bp_rounds, reason):
+        """Record the results of the batch positions in the mask done, each
+        with the current symbols, and compact them out of the batch."""
         nonlocal state, rows, Y, As, symbols
-        keep = np.flatnonzero(~done)
-        state = state.take(keep)
-        den.compact(keep)
-        rows, Y, symbols = rows[keep], Y[keep], symbols[keep]
-        As = [As[i] for i in keep]
+        for i in np.flatnonzero(done):
+            results[rows[i]] = DecodeResult(
+                bits=symbols_to_bits(symbols[i][encoder.message_positions],
+                                     code.field.m),
+                symbols=symbols[i].copy(), success=success,
+                iterations_used=state.t, final_bp_rounds=bp_rounds,
+                tau2_trace=trace[: state.t, rows[i]].copy(),
+                termination_reason=reason,
+                denoiser_metadata=den.metadata()[i],
+            )
+        if done.any():
+            keep = np.flatnonzero(~done)
+            state = state.take(keep)
+            den.compact(keep)
+            rows, Y, symbols = rows[keep], Y[keep], symbols[keep]
+            As = [As[i] for i in keep]
 
     for _ in range(params.amp_iters):
         state = amp_step(state, Y, As, den, params.tau2_floor)
@@ -174,17 +177,10 @@ def decode_batch(Y, As, code, encoder, params):
         finite = (np.isfinite(state.z).all(axis=1)
                   & np.isfinite(state.s_hat).all(axis=1))
         symbols = hard_decision(state.s_hat, q).reshape(len(rows), code.L)
-        done = ~finite
-        for i in np.flatnonzero(done):
-            finish(i, np.zeros(code.L, dtype=np.int64), False, 0,
-                   "non_finite")
-        if params.early_stop:
-            for i in np.flatnonzero(finite):
-                if syndrome_check(code, symbols[i]):
-                    finish(i, symbols[i], True, 0, "amp_syndrome")
-                    done[i] = True
-        if done.any():
-            compact(done)
+        symbols[~finite] = 0
+        finish(~finite, False, 0, "non_finite")
+        if params.early_stop and len(rows):
+            finish(syndrome_check(code, symbols), True, 0, "amp_syndrome")
         if not len(rows):
             return results
 
@@ -195,21 +191,15 @@ def decode_batch(Y, As, code, encoder, params):
             den.bp_round()
             bp_rounds = j + 1
             symbols = np.argmax(den.estimate(), axis=-1).T
-            if not params.early_stop:
-                continue
-            done = np.zeros(len(rows), dtype=bool)
-            for i in range(len(rows)):
-                if syndrome_check(code, symbols[i]):
-                    finish(i, symbols[i], True, bp_rounds,
-                           "final_bp_syndrome")
-                    done[i] = True
-            if done.any():
-                compact(done)
-            if not len(rows):
-                return results
+            if params.early_stop:
+                finish(syndrome_check(code, symbols), True, bp_rounds,
+                       "final_bp_syndrome")
+                if not len(rows):
+                    return results
 
-    for i in range(len(rows)):
-        success = syndrome_check(code, symbols[i])
-        finish(i, symbols[i], success, bp_rounds,
-               "exhausted_valid" if success else "exhausted")
+    # With early stop, every row left failed the check of its symbols.
+    if not params.early_stop:
+        finish(syndrome_check(code, symbols), True, bp_rounds,
+               "exhausted_valid")
+    finish(np.ones(len(rows), dtype=bool), False, bp_rounds, "exhausted")
     return results

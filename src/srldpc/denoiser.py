@@ -76,21 +76,19 @@ class _Hadamard:
                             hadamard_matrix(RADIX))
         self._work = np.empty(0)
 
-    def __call__(self, x, out=None):
-        """Transform of each row of a C-contiguous (rows, q) array x,
-        written into out (C-contiguous) if given; without out the result
-        may take x's memory, so callers pass a fresh array."""
+    def __call__(self, x):
+        """Transform of each row of a C-contiguous (rows, q) array x; the
+        result may take x's memory, so callers pass a fresh array."""
         if len(self.factors) == 1:
-            return np.matmul(x, self.factors[0], out=out)
+            return np.matmul(x, self.factors[0])
         high, low = self.factors
         if self._work.size != x.size:
             self._work = np.empty(x.size)
         z = np.matmul(x.reshape(-1, RADIX), low,
                       out=self._work.reshape(-1, RADIX))
-        out = x if out is None else out
         np.matmul(high, z.reshape(-1, len(high), RADIX),
-                  out=out.reshape(-1, len(high), RADIX))
-        return out
+                  out=x.reshape(-1, len(high), RADIX))
+        return x
 
 
 class Schedule:

@@ -7,27 +7,28 @@ dedicated (seed, stream, ...) substreams.  Early stopping processes
 trials in index order and keeps every completed trial, so the estimates
 are unbiased.
 
-A point's trials are split into batches of BATCH consecutive indices,
-each decoded through amp.decode_batch, which runs the batch in lockstep
-through one AMP loop and one BP denoiser holding the messages as
-(edges, trials, q); a trial that stops is compacted out while the others
-go on.  Each trial's result is bitwise the one it gets when decoded
-alone.
+run_point and se_vs_truth read a point's trials as one stream, in
+trial order, from _point_trials.  It builds the point's fixed-policy
+design matrix and splits the trials into batches of BATCH consecutive
+indices, each decoded through amp.decode_batch, which runs the batch in
+lockstep through one AMP loop and one BP denoiser holding the messages
+as (edges, trials, q); a trial that stops is compacted out while the
+others go on.  Each trial's result is bitwise the one it gets when
+decoded alone.
 
 The batches run on a pool of forked worker processes, one per CPU in
 the caller's affinity mask and at most one per batch.  The pool is made
-inside run_point (or se_vs_truth) after the code, the decoder settings
-and the fixed-policy design matrix exist, so the workers share them
-copy-on-write and only trial indices and decoded results are pickled.
-With one worker (a 1-CPU mask, say `taskset -c 0`, or a single batch)
-the batches run inline with no fork.  The caller tallies each trial's
-result in trial index order, so every sum, and hence every tally,
-depends only on (config, seed) and not on the worker count.  The tally
-stops at the exact trial that reaches target_errors; batches still in
-flight then are discarded and the pool is terminated and joined before
-run_point returns.  Each worker runs OpenBLAS on one thread, and a
-worker that exits without a result is a RuntimeError, not a wait that
-never ends.  At the desk waterfall point under bpn this decodes
+after the code, the decoder settings and the design matrix exist, so
+the workers share them copy-on-write and only trial indices and decoded
+results are pickled.  With one worker (a 1-CPU mask, say `taskset -c
+0`, or a single batch) the batches run inline with no fork.  The caller
+tallies each trial's result in trial index order, so every sum, and
+hence every tally, depends only on (config, seed) and not on the worker
+count.  run_point stops at the exact trial that reaches target_errors;
+batches still in flight then are discarded and the pool is terminated
+and joined before it returns.  Each worker runs OpenBLAS on one thread,
+and a worker that exits without a result is a RuntimeError, not a wait
+that never ends.  At the desk waterfall point under bpn this decodes
 about 94 trials/s on two workers, against 57 on one (BENCH_14.json).
 """
 
@@ -296,39 +297,44 @@ def decode_trials(cfg, code, encoder, A, sigma2, params, snr_index, trials):
     return [(bits, v, res) for (bits, v, _), res in zip(sent, results)]
 
 
-def _trial_batches(trials):
-    """Trial indices 0..trials-1 as consecutive ranges of BATCH."""
-    return [range(start, min(start + BATCH, trials))
-            for start in range(0, trials, BATCH)]
-
-
-def _worker_count(batches):
-    """Worker processes for a run of `batches` batches: one per CPU in
+def _worker_count(trials):
+    """Worker processes for a point of `trials` trials: one per CPU in
     this process's affinity mask, at most one per batch; one where the
     platform has no affinity mask (macOS, Windows)."""
     if not hasattr(os, "sched_getaffinity"):
         return 1
-    return min(len(os.sched_getaffinity(0)), batches)
+    return min(len(os.sched_getaffinity(0)), -(-trials // BATCH))
 
 
 @contextmanager
-def _decoded_batches(job, batches):
-    """Context giving job(batch) for each batch, in batch order.
+def _point_trials(cfg, code, encoder, sigma2, params, snr_index, trials):
+    """Context giving (bits, v, DecodeResult) of trials 0..trials-1 of
+    one SNR point, in trial order.
 
-    With more than one worker the batches run on a forked pool, whose
-    workers inherit job, and the arrays it holds, copy-on-write.
-    Leaving the context terminates and joins the workers, so batches
-    still in flight after the caller stops reading are discarded.  With
-    one worker the batches run inline, with no fork.
+    The point's design matrix is built here under matrix_policy=fixed;
+    under per_trial each trial builds its own.  The trials are decoded
+    in batches of BATCH consecutive indices.  With more than one worker
+    the batches run on a forked pool, whose workers inherit the code,
+    the settings and the matrix copy-on-write.  Leaving the context
+    terminates and joins the workers, so batches still in flight after
+    the caller stops reading are discarded.  With one worker the batches
+    run inline, with no fork.
     """
-    workers = _worker_count(len(batches))
+    A = (design_matrix(cfg, snr_index) if cfg.matrix_policy == "fixed"
+         else None)
+    job = partial(decode_trials, cfg, code, encoder, A, sigma2, params,
+                  snr_index)
+    batches = [range(start, min(start + BATCH, trials))
+               for start in range(0, trials, BATCH)]
+    workers = _worker_count(trials)
     if workers <= 1:
-        yield map(job, batches)
+        yield chain.from_iterable(map(job, batches))
         return
     before = _child_pids()
     with multiprocessing.get_context("fork").Pool(
             workers, initializer=_start_worker, initargs=(job,)) as pool:
-        yield _watched(pool.imap(_run_job, batches), _child_pids() - before)
+        yield chain.from_iterable(_watched(pool.imap(_run_job, batches),
+                                           _child_pids() - before))
 
 
 def _child_pids():
@@ -442,9 +448,6 @@ def run_point(cfg, ebno_db, snr_index=0, prebuilt=None):
         _, code, encoder = prebuilt
     sigma2 = _sigma2(cfg, ebno_db)
     params = decoder_params(cfg, tau2_floor_for(sigma2))
-    A = None
-    if cfg.matrix_policy == "fixed":
-        A = design_matrix(cfg, snr_index)
 
     t0 = time.perf_counter()
     bit_errors = 0
@@ -453,10 +456,9 @@ def run_point(cfg, ebno_db, snr_index=0, prebuilt=None):
     tau2_sum = 0.0
     trials_run = 0
     aborts = 0
-    job = partial(decode_trials, cfg, code, encoder, A, sigma2, params,
-                  snr_index)
-    with _decoded_batches(job, _trial_batches(cfg.trials)) as decoded:
-        for bits, v, res in chain.from_iterable(decoded):
+    with _point_trials(cfg, code, encoder, sigma2, params, snr_index,
+                       cfg.trials) as decoded:
+        for bits, v, res in decoded:
             be, cw, iters, tau2, aborted = trial_tally(bits, v, res)
             trials_run += 1
             bit_errors += be
@@ -529,7 +531,7 @@ def _write_metadata(cfg, code, rows, out_csv):
         "git_describe": _git_describe(),
         "points": [{"ebno_db": row.ebno_db, "aborts": row.aborts}
                    for row in rows],
-        "workers": _worker_count(len(_trial_batches(cfg.trials))),
+        "workers": _worker_count(cfg.trials),
     }
     with open(str(out_csv) + ".meta.json", "w") as fh:
         json.dump(meta, fh, indent=2)
@@ -590,16 +592,11 @@ def se_vs_truth(cfg, ebno_db, trials, psi=None, out_csv=None):
     _, code, encoder = build_experiment(cfg)
     params = replace(decoder_params(cfg, tau2_floor_for(sigma2)),
                      amp_iters=T + 1, final_bp_iters=0, early_stop=False)
-    A = None
-    if cfg.matrix_policy == "fixed":
-        A = design_matrix(cfg, 0)
     claim_output(out_csv)
-
-    job = partial(decode_trials, cfg, code, encoder, A, sigma2, params, 0)
-    with _decoded_batches(job, _trial_batches(trials)) as decoded:
-        tau2_mc = np.mean(np.stack([
-            res.tau2_trace for _, _, res in chain.from_iterable(decoded)
-        ]), axis=0)
+    with _point_trials(cfg, code, encoder, sigma2, params, 0,
+                       trials) as decoded:
+        tau2_mc = np.mean(np.stack([res.tau2_trace for _, _, res in decoded]),
+                          axis=0)
 
     se_trace = approximate_se(code, cfg.n, sigma2, T, Schedule(cfg.schedule),
                               psi=psi)

@@ -234,16 +234,16 @@ def assign_edge_labels(code, seed):
 
 
 def syndrome_check(code, v):
-    """True iff symbol vector v satisfies every parity equation."""
+    """True iff symbol vector v satisfies every parity equation; for a
+    (trials, L) stack, a bool array with that answer for each row."""
     v = np.asarray(v, dtype=np.int64)
-    if v.shape != (code.L,):
-        raise ValueError(f"expected length-{code.L} symbol vector")
-    if code.P == 0:
-        return True
-    contrib = code.field.mul_table[code.edge_label, v[code.edge_var]]
-    synd = np.zeros(code.P, dtype=np.int64)
-    np.bitwise_xor.at(synd, code.edge_chk, contrib)
-    return not synd.any()
+    if v.ndim not in (1, 2) or v.shape[-1] != code.L:
+        raise ValueError(f"expected length-{code.L} symbol vectors")
+    contrib = code.field.mul_table[code.edge_label, v[..., code.edge_var]]
+    synd = np.zeros((code.P,) + v.shape[:-1], dtype=np.int64)
+    np.bitwise_xor.at(synd, code.edge_chk, contrib.T)
+    valid = ~synd.any(axis=0)
+    return bool(valid) if v.ndim == 1 else valid
 
 
 class Encoder:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from srldpc import harness
+from srldpc import amp, harness
 from srldpc.amp import (
     AmpState, DecoderParams, amp_step, decode, decode_batch, estimate_tau2,
     initial_state, onsager, tau2_floor_for,
@@ -320,6 +320,36 @@ def test_decode_batch_equals_decode_bitwise(schedule, overrides):
     assert any(res.final_bp_rounds > 0 for res in batched)
     # stops at different AMP iterations, so batches were compacted
     assert len({res.iterations_used for res in batched}) > 1
+
+
+@pytest.mark.parametrize("schedule", ["bpn", "bp0"])
+def test_decode_batch_checks_each_step_once(schedule, monkeypatch):
+    """Each AMP iteration and each final-BP round checks the syndromes of
+    every trial still in the batch with one syndrome_check call on their
+    (rows, L) symbol stack."""
+    code, enc, A, params, Y = _desk_trials(schedule)
+    real = amp.syndrome_check
+    shapes = []
+
+    def counting(code, v):
+        shapes.append(np.shape(v))
+        return real(code, v)
+
+    monkeypatch.setattr(amp, "syndrome_check", counting)
+    # trials 24..31 stop in AMP, and at least one exhausts the final BP
+    batch = decode_batch(Y[24:32], [A] * 8, code, enc, params)
+    assert {"amp_syndrome", "exhausted"} <= {
+        res.termination_reason for res in batch}
+    amp_steps = max(res.iterations_used for res in batch)
+    bp_steps = max(res.final_bp_rounds for res in batch)
+    running = (
+        [sum(res.iterations_used >= t for res in batch)
+         for t in range(1, amp_steps + 1)]
+        + [sum(res.final_bp_rounds >= j for res in batch)
+           for j in range(1, bp_steps + 1)]
+    )
+    assert shapes == [(rows, code.L) for rows in running]
+    assert shapes[0] == (8, code.L)
 
 
 def test_decode_batch_non_finite_row_aborts_alone():

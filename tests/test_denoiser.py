@@ -66,9 +66,6 @@ def test_hadamard_transform_matches_fwht(m):
     ref = fwht(x)
     err = np.abs(got - ref).max(axis=1) / np.abs(ref).max(axis=1)
     assert err.max() <= 1e-13
-    out = np.empty_like(x)
-    assert T(x, out=out) is out
-    assert np.array_equal(out, got)
     if m <= 4:
         # one stage: the dense product itself
         assert len(T.factors) == 1

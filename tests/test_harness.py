@@ -263,15 +263,18 @@ def _openblas_thread_getters():
     return getters
 
 
-def test_workers_run_blas_on_one_thread(cpus):
+def test_workers_run_blas_on_one_thread(cpus, monkeypatch):
     """Each worker runs every OpenBLAS in the process on one thread, so
     the workers do not contend with each other's BLAS threads."""
     getters = _openblas_thread_getters()
     if not getters:
         pytest.skip("no OpenBLAS with a known thread-count getter loaded")
     cpus(2)
-    job = lambda batch: [getter() for getter in getters]  # noqa: E731
-    with harness._decoded_batches(job, harness._trial_batches(16)) as counts:
+    # each batch reports its worker's thread counts in place of trials
+    monkeypatch.setattr(harness, "decode_trials", lambda *args: [
+        [getter() for getter in getters]])
+    with harness._point_trials(SimConfig(**SMALL), None, None, 1.0, None,
+                               0, 16) as counts:
         assert list(counts) == [[1] * len(getters)] * 2
 
 

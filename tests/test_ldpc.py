@@ -214,6 +214,50 @@ def test_syndrome_random_noncodewords():
         assert not syndrome_check(code, rng.integers(0, 256, size=766))
 
 
+def _assert_stack_matches_rows(code, V):
+    got = syndrome_check(code, V)
+    assert got.dtype == bool and got.shape == (len(V),)
+    assert got.tolist() == [syndrome_check(code, v) for v in V]
+    return got
+
+
+def test_syndrome_stack_matches_rows(desk_code):
+    code, enc = desk_code
+    rng = np.random.default_rng(6)
+    V = rng.integers(0, code.field.q, size=(12, code.L))
+    for k in (0, 3, 4, 11):
+        V[k] = enc.encode(rng.integers(0, code.field.q, size=enc.k))
+    V[4, 17] ^= 5   # one flipped symbol: no longer a codeword
+    got = _assert_stack_matches_rows(code, V)
+    assert np.flatnonzero(got).tolist() == [0, 3, 11]
+    assert _assert_stack_matches_rows(code, V[:0]).shape == (0,)
+
+
+def test_syndrome_stack_p0_all_true():
+    code, _ = build_code(GF2m(4), L=120, P=0, dv=3, seed=0)
+    V = np.random.default_rng(7).integers(0, 16, size=(5, 120))
+    assert _assert_stack_matches_rows(code, V).all()
+
+
+def test_syndrome_stack_degree_zero_check():
+    # check 1 has no edges, so it holds for every word
+    field = GF2m(2)
+    code = LdpcCode(field, 3, 2, [0, 1, 2], [0, 0, 0], [1, 2, 3])
+    assert list(code.chk_degrees()) == [3, 0]
+    V = np.array([[0, 0, 0], [1, 0, 0], [1, 2, 3], [0, 0, 1]])
+    got = _assert_stack_matches_rows(code, V)
+    # in GF(4), 1*1 + 2*2 + 3*3 = 1 + 3 + 2 = 0
+    assert got.tolist() == [True, False, True, False]
+
+
+@pytest.mark.parametrize("shape", [(4, 129), (2, 4, 128)],
+                         ids=["long-rows", "3d"])
+def test_syndrome_stack_rejects_bad_shapes(desk_code, shape):
+    code, _ = desk_code
+    with pytest.raises(ValueError):
+        syndrome_check(code, np.zeros(shape, dtype=np.int64))
+
+
 def test_rank_deficient_reported():
     field = GF2m(2)
     # identical check rows: rank 1 < 2
