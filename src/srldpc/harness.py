@@ -16,20 +16,24 @@ as (edges, trials, q); a trial that stops is compacted out while the
 others go on.  Each trial's result is bitwise the one it gets when
 decoded alone.
 
-The batches run on a pool of forked worker processes, one per CPU in
-the caller's affinity mask and at most one per batch.  The pool is made
-after the code, the decoder settings and the design matrix exist, so
-the workers share them copy-on-write and only trial indices and decoded
-results are pickled.  With one worker (a 1-CPU mask, say `taskset -c
-0`, or a single batch) the batches run inline with no fork.  The caller
+The batches run on forked worker processes, one per CPU in the
+caller's affinity mask and at most one per batch.  The workers are
+forked after the code, the decoder settings and the design matrix
+exist, so they share them copy-on-write and only decoded results are
+pickled.  Worker w decodes batches w, w+W, ... of the W workers in
+order and sends each result, or the first error, on a one-way pipe of
+its own; the caller reads batch b from pipe b % W.  A full pipe holds a
+worker about one batch ahead of the caller, and no lock is shared
+between processes.  With one worker (a 1-CPU mask, say `taskset -c 0`,
+or a single batch) the batches run inline with no fork.  The caller
 tallies each trial's result in trial index order, so every sum, and
 hence every tally, depends only on (config, seed) and not on the worker
 count.  run_point stops at the exact trial that reaches target_errors;
-batches still in flight then are discarded and the pool is terminated
-and joined before it returns.  Each worker runs OpenBLAS on one thread,
-and a worker that exits without a result is a RuntimeError, not a wait
-that never ends.  At the desk waterfall point under bpn this decodes
-about 94 trials/s on two workers, against 57 on one (BENCH_14.json).
+the workers are then killed and joined, whatever they still decode,
+before it returns.  Each worker runs OpenBLAS on one thread, and a
+worker that exits without a result is a RuntimeError, not a wait that
+never ends.  At the desk waterfall point under bpn this decodes about
+94 trials/s on two workers, against 57 on one (BENCH_14.json).
 """
 
 import ctypes
@@ -45,7 +49,7 @@ from itertools import chain
 
 import numpy as np
 
-# run_trial and decode stay: perfbench traces them by name (ROADMAP dir. 3).
+# run_trial and decode stay: perfbench traces them by name (ROADMAP dir. 1).
 from .amp import DecoderParams, decode, decode_batch, tau2_floor_for
 from .codec import (
     DesignMatrix, snr_to_sigma2, index_codeword, awgn,
@@ -67,10 +71,6 @@ MATRIX_POLICIES = ("fixed", "per_trial")
 # depend on it, and 8 trials take most of the per-round overhead out of
 # the BP denoiser at desk scale for little extra memory.
 BATCH = 8
-
-# The batch function of this process when it is a pool worker; set by
-# _start_worker in the worker, never in the caller.
-_worker_job = None
 
 # OpenBLAS's thread-count setter under the names that the numpy and
 # scipy wheels (scipy-openblas, openblas64_) and a plain build export.
@@ -313,12 +313,13 @@ def _point_trials(cfg, code, encoder, sigma2, params, snr_index, trials):
 
     The point's design matrix is built here under matrix_policy=fixed;
     under per_trial each trial builds its own.  The trials are decoded
-    in batches of BATCH consecutive indices.  With more than one worker
-    the batches run on a forked pool, whose workers inherit the code,
-    the settings and the matrix copy-on-write.  Leaving the context
-    terminates and joins the workers, so batches still in flight after
-    the caller stops reading are discarded.  With one worker the batches
-    run inline, with no fork.
+    in batches of BATCH consecutive indices.  With W > 1 workers, worker
+    w is forked with the code, the settings and the matrix copy-on-write,
+    decodes batches w, w+W, ... and sends each result on its own pipe,
+    from which batch b is read; a full pipe holds it about one batch
+    ahead.  Leaving the context kills and joins the workers, so batches
+    still in flight after the caller stops reading are discarded.  With
+    one worker the batches run inline, with no fork.
     """
     A = (design_matrix(cfg, snr_index) if cfg.matrix_policy == "fixed"
          else None)
@@ -330,44 +331,61 @@ def _point_trials(cfg, code, encoder, sigma2, params, snr_index, trials):
     if workers <= 1:
         yield chain.from_iterable(map(job, batches))
         return
-    before = _child_pids()
-    with multiprocessing.get_context("fork").Pool(
-            workers, initializer=_start_worker, initargs=(job,)) as pool:
-        yield chain.from_iterable(_watched(pool.imap(_run_job, batches),
-                                           _child_pids() - before))
+    ctx = multiprocessing.get_context("fork")
+    procs, pipes = [], []
+    try:
+        for w in range(workers):
+            recv, send = ctx.Pipe(duplex=False)
+            pipes.append(recv)
+            proc = ctx.Process(target=_work,
+                               args=(job, batches[w::workers], send))
+            proc.start()
+            procs.append(proc)
+            # closed before the next fork, so that the worker holds the
+            # only write end and its exit reads as an EOF
+            send.close()
+        yield chain.from_iterable(_in_order(pipes, len(batches)))
+    finally:
+        for proc in procs:
+            proc.kill()
+            proc.join()
+        for recv in pipes:
+            recv.close()
 
 
-def _child_pids():
-    return {p.pid for p in multiprocessing.active_children()}
-
-
-def _watched(results, workers):
-    """The pool's results, or a RuntimeError once one of its first
-    workers has exited: a worker killed by a signal (out of memory, say)
-    takes its batch with it, and the pool would wait for it forever."""
-    while True:
-        try:
-            yield results.next(timeout=1.0)
-        except StopIteration:
-            return
-        except multiprocessing.TimeoutError:
-            if not workers <= _child_pids():
-                raise RuntimeError("a worker process exited while "
-                                   "decoding a batch") from None
-
-
-def _start_worker(job):
-    """Pool worker set-up: keep job, and run BLAS on one thread."""
-    global _worker_job
-    _worker_job = job
+def _work(job, batches, send):
+    """Worker body: decode the batches in order and send (True, result)
+    for each, or (False, exception) for the first one that raises."""
     _one_blas_thread()
+    for batch in batches:
+        try:
+            result = job(batch)
+        except Exception as exc:
+            send.send((False, exc))
+            return
+        send.send((True, result))
+
+
+def _in_order(pipes, count):
+    """Results of batches 0..count-1, batch b read from pipe
+    b % len(pipes).  A worker's error is raised here with its type, and
+    a worker that exits without a result is a RuntimeError."""
+    for b in range(count):
+        try:
+            ok, result = pipes[b % len(pipes)].recv()
+        except EOFError:
+            raise RuntimeError("a worker process exited while decoding "
+                               "a batch") from None
+        if not ok:
+            raise result
+        yield result
 
 
 def _one_blas_thread():
-    """Set every OpenBLAS loaded in this process to one thread.  A pool
-    worker has a CPU to itself, and BLAS threads of its own would contend
-    with the other workers for the CPUs: two workers running OpenBLAS on
-    two threads each decoded the desk point slower than one process."""
+    """Set every OpenBLAS loaded in this process to one thread.  A worker
+    has a CPU to itself, and BLAS threads of its own would contend with
+    the other workers for the CPUs: two workers running OpenBLAS on two
+    threads each decoded the desk point slower than one process."""
     try:
         with open("/proc/self/maps") as fh:
             paths = {line.split(maxsplit=5)[-1].strip() for line in fh
@@ -386,10 +404,6 @@ def _one_blas_thread():
                 set_threads.restype = None
                 set_threads(1)
                 break
-
-
-def _run_job(batch):
-    return _worker_job(batch)
 
 
 def run_trial(cfg, code, encoder, A, sigma2, params, snr_index, trial):

@@ -5,14 +5,12 @@ check nodes over GF(q).  A length-L symbol vector v is a codeword when
 every check p satisfies  sum_{l in N(c_p)} w_{l,p} (x) v_l = 0  with all
 arithmetic in the field.  Edges are kept in arrays sorted by
 (check, slot) so the BP check updates operate on contiguous segments;
-this ordering is part of the code object and of the file format.
+this ordering is part of the code object.
 """
 
 import math
 
 import numpy as np
-
-from .gf import GF2m
 
 LABEL_DRAWS = 16    # label draws build_code tries before giving up
 
@@ -342,30 +340,3 @@ def symbols_to_bits(symbols, m):
     shifts = np.arange(m - 1, -1, -1)
     return ((symbols[:, None] >> shifts) & 1).ravel()
 
-
-def save_code(code, path):
-    """Write the code as text: header `q L P girth poly`, then edges."""
-    girth = 0 if math.isinf(code.girth) else int(code.girth)
-    lines = [f"{code.field.q} {code.L} {code.P} {girth} 0x{code.field.poly:X}"]
-    for v, c, w in zip(code.edge_var, code.edge_chk, code.edge_label):
-        lines.append(f"{v} {c} {w}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def load_code(path):
-    with open(path) as fh:
-        header = fh.readline().split()
-        q, L, P, girth = (int(x) for x in header[:4])
-        poly = int(header[4], 16)
-        edges = np.loadtxt(fh, dtype=np.int64, ndmin=2)
-    field = GF2m(q.bit_length() - 1, poly=poly)
-    if field.q != q:
-        raise ValueError(f"q={q} is not a power of two")
-    if edges.size == 0:
-        edges = np.zeros((0, 3), dtype=np.int64)
-    return LdpcCode(
-        field, L, P,
-        edges[:, 0], edges[:, 1], edges[:, 2],
-        girth=(math.inf if girth == 0 else girth),
-    )

@@ -2,7 +2,10 @@ import ctypes
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,6 +242,46 @@ def test_run_point_raises_when_a_worker_dies(cpus, monkeypatch):
     with pytest.raises(RuntimeError, match="worker process exited"):
         run_point(SimConfig(**{**SMALL, "trials": 16}), 8.0)
     assert multiprocessing.active_children() == []
+
+
+HANG_LOOP = """
+import os
+os.sched_getaffinity = lambda pid: {{0, 1}}
+from srldpc import harness
+from srldpc.harness import ConfigError, SimConfig, run_point
+
+def failing_decode_batch(*args, **kwargs):
+    raise ConfigError("decoded in a worker")
+
+cfg = SimConfig(**{config!r})
+decode_batch = harness.decode_batch
+for _ in range(40):
+    harness.decode_batch = decode_batch
+    assert run_point(cfg, 3.0).trials < harness.BATCH
+    harness.decode_batch = failing_decode_batch
+    try:
+        run_point(cfg, 3.0)
+    except ConfigError:
+        pass
+    else:
+        raise AssertionError("the worker's error was lost")
+"""
+
+
+def test_run_point_exits_with_batches_in_flight():
+    """Forty points on two workers that stop with batches in flight, each
+    followed by one whose workers raise, all return: leaving a point never
+    waits forever on its workers.  Run in a child process so that a hang
+    fails the test instead of stalling the suite."""
+    config = {**SMALL, "trials": 40, "target_errors": 3, "ebno_db": (3.0,)}
+    src = str(Path(harness.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c",
+                           HANG_LOOP.format(config=config)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _openblas_thread_getters():

@@ -7,8 +7,8 @@ from scipy.stats import chisquare
 from srldpc.gf import GF2m
 from srldpc.ldpc import (
     Encoder, LdpcCode, RankDeficientError, assign_edge_labels,
-    bits_to_symbols, build_code, compute_girth, load_code, peg_construct,
-    save_code, symbols_to_bits, syndrome_check,
+    bits_to_symbols, build_code, compute_girth, peg_construct,
+    symbols_to_bits, syndrome_check,
 )
 
 from helpers import reference_peg_construct
@@ -302,35 +302,3 @@ def test_bits_round_trip():
 def test_bits_length_mismatch():
     with pytest.raises(ValueError):
         bits_to_symbols([0, 1, 1], 2)
-
-
-# ---------------------------------------------------------------------------
-# File format
-# ---------------------------------------------------------------------------
-
-def test_code_file_round_trip(tmp_path, desk_code):
-    code, _ = desk_code
-    path = tmp_path / "code.txt"
-    save_code(code, path)
-    loaded = load_code(path)
-    assert loaded.field.q == code.field.q
-    assert loaded.field.poly == code.field.poly
-    assert loaded.L == code.L and loaded.P == code.P
-    assert loaded.girth == code.girth
-    assert np.array_equal(loaded.edge_var, code.edge_var)
-    assert np.array_equal(loaded.edge_chk, code.edge_chk)
-    assert np.array_equal(loaded.edge_label, code.edge_label)
-    # byte-for-byte stable across a save/load/save cycle
-    path2 = tmp_path / "code2.txt"
-    save_code(loaded, path2)
-    assert path.read_text() == path2.read_text()
-
-
-def test_tree_code_file_round_trip(tmp_path):
-    field = GF2m(2)
-    tree = LdpcCode(field, 3, 1, [0, 1, 2], [0, 0, 0], [1, 2, 3])
-    path = tmp_path / "tree.txt"
-    save_code(tree, path)
-    loaded = load_code(path)
-    assert math.isinf(loaded.girth)
-    assert np.array_equal(loaded.edge_label, tree.edge_label)
