@@ -20,7 +20,9 @@ association it has for one code alone and each trajectory is bitwise
 the one the code gets alone.
 
 Psi has no closed form; it is estimated by Monte-Carlo on a log-spaced
-tau^2 grid and smoothed isotonically.
+tau^2 grid, and the table keeps the running minimum of the estimates so
+that it is non-increasing whatever the sampling noise.  The library
+depends on numpy alone.
 """
 
 import functools
@@ -28,14 +30,12 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import isotonic_regression
 
 from .codec import rng_stream, snr_to_sigma2
 from .ldpc import build_code
 
 PSI_GRID = (1e-4, 1e3, 64)
 PSI_SAMPLES = 200_000
-PSI_REBUILDS = 2
 # Widest run of checks whose SE check-round products are one cumprod
 # along the slots rather than a Python loop of per-slot products.
 PRODUCT_BLOCK_WIDTH = 64
@@ -44,10 +44,13 @@ PRODUCT_BLOCK_WIDTH = 64
 class PsiTable:
     """Interpolated map tau^2 -> E[alpha(0)] and its inverse.
 
-    Values decrease strictly from ~1 (noiseless) to ~1/q (uninformative).
-    The inverse returns inf for beliefs at or below the table floor, so
-    an exactly-uniform message contributes nothing to the harmonic
-    combination at a variable node.
+    Values do not increase from ~1 (noiseless) to ~1/q (uninformative).
+    The inverse interpolates the same points with the axes swapped; a
+    belief between two values is bracketed by the segment where value()
+    crosses it, also next to a run of equal values, so value(inverse(b))
+    is b.  The inverse returns inf for beliefs at or below the table
+    floor, so an exactly-uniform message contributes nothing to the
+    harmonic combination at a variable node.
     """
 
     def __init__(self, q, tau2_grid, values):
@@ -55,9 +58,8 @@ class PsiTable:
         self.tau2_grid = np.asarray(tau2_grid, dtype=np.float64)
         self.values = np.asarray(values, dtype=np.float64)
         self._logt = np.log(self.tau2_grid)
-        keep = np.concatenate(([True], np.diff(self.values) < 0))
-        self._inv_beliefs = self.values[keep][::-1]
-        self._inv_logt = self._logt[keep][::-1]
+        self._inv_beliefs = self.values[::-1]
+        self._inv_logt = self._logt[::-1]
 
     def value(self, tau2):
         """E[alpha(0)] at noise variance tau2 (clamped to the grid)."""
@@ -95,66 +97,24 @@ def _mc_alpha0_mean(q, tau2, samples, rng, chunk=1 << 18):
 
 
 def build_psi(q, samples=PSI_SAMPLES):
-    """Tabulate Psi on PSI_GRID by Monte-Carlo with isotonic smoothing.
+    """Tabulate Psi on PSI_GRID by one Monte-Carlo pass.
 
-    If the raw table strays from monotone by more than the expected MC
-    noise, the estimate is rebuilt with four times the samples, at most
-    PSI_REBUILDS times.
+    The stored values are the running minimum of the raw estimates along
+    the grid: non-increasing by construction, and the raw table itself
+    bit for bit wherever it already decreases strictly.
     """
     if samples < 10_000:
         raise ValueError("need at least 1e4 samples per grid point")
     lo, hi, points = PSI_GRID
     tau2_grid = np.logspace(np.log10(lo), np.log10(hi), int(points))
-
-    for attempt in range(PSI_REBUILDS + 1):
-        n_samp = samples * (4 ** attempt)
-        rng = rng_stream(0, 100, attempt)
-        raw = np.array([
-            _mc_alpha0_mean(q, t2, n_samp, rng) for t2 in tau2_grid
-        ])
-        iso = isotonic_regression(raw, increasing=False).x
-        tol = max(0.005, 5.0 / np.sqrt(n_samp))
-        if np.max(np.abs(raw - iso)) <= tol:
-            return PsiTable(q, tau2_grid, iso)
-    warnings.warn("Psi table stayed non-monotone beyond tolerance; "
-                  "using the isotonic fit of the last attempt")
-    return PsiTable(q, tau2_grid, iso)
+    rng = rng_stream(0, 100, 0)
+    raw = np.array([_mc_alpha0_mean(q, t2, samples, rng) for t2 in tau2_grid])
+    return PsiTable(q, tau2_grid, np.minimum.accumulate(raw))
 
 
 @functools.lru_cache(maxsize=8)
 def get_psi(q, samples=PSI_SAMPLES):
     return build_psi(q, samples=samples)
-
-
-def se_check_mse(in_l2, q):
-    """Expected ||.||_2^2 and MSE of a check node's outgoing message.
-
-    in_l2 lists E||mu||^2 of the incoming messages; the outgoing value is
-    1/q + (q/(q-1))^(n-1) * prod(in - 1/q) with n inputs, and the MSE is
-    its complement to one.
-    """
-    in_l2 = np.asarray(in_l2, dtype=np.float64)
-    if in_l2.ndim != 1 or in_l2.size < 1:
-        raise ValueError("need at least one incoming value")
-    if np.any(in_l2 < 1.0 / q - 1e-12) or np.any(in_l2 > 1.0 + 1e-12):
-        raise ValueError("incoming values must lie in [1/q, 1]")
-    n = in_l2.size
-    out = 1.0 / q + (q / (q - 1.0)) ** (n - 1) * np.prod(in_l2 - 1.0 / q)
-    out = min(max(out, 1.0 / q), 1.0)
-    return out, 1.0 - out
-
-
-def se_variable_tau(tau2_amp, incoming_tau2s):
-    """Effective noise variance at a variable node: harmonic combination
-    of the AMP observation and the incoming messages' equivalents."""
-    if tau2_amp <= 0:
-        raise ValueError("tau2_amp must be positive")
-    inv = 1.0 / tau2_amp
-    for t2 in incoming_tau2s:
-        if t2 <= 0:
-            raise ValueError("incoming tau2 values must be positive")
-        inv += 1.0 / t2
-    return 1.0 / inv
 
 
 @dataclass

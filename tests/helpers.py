@@ -18,7 +18,9 @@ compute_girth; the shipped construction must give the same edges and
 girth.  reference_approximate_se is the earlier one-code
 form of state_evolution.approximate_se (padded cumprod check round,
 np.add.at variable sums); the batched recursion must reproduce its
-trajectories bit for bit.
+trajectories bit for bit.  se_check_mse and se_variable_tau are the
+scalar SE rules at one check and one variable node, written out from
+their formulas; the shipped rounds must agree with them edge by edge.
 """
 
 import itertools
@@ -308,3 +310,34 @@ def reference_approximate_se(code, n, sigma2, T, schedule, psi):
         trace.append(tau2)
     return (np.asarray(trace), 1.0 - c2v_l2, section_mse,
             bool(trace[-1] - sigma2 < 1e-4 * sigma2))
+
+
+def se_check_mse(in_l2, q):
+    """Expected ||.||_2^2 and MSE of a check node's outgoing message.
+
+    in_l2 lists E||mu||^2 of the incoming messages; the outgoing value is
+    1/q + (q/(q-1))^(n-1) * prod(in - 1/q) with n inputs, and the MSE is
+    its complement to one.
+    """
+    in_l2 = np.asarray(in_l2, dtype=np.float64)
+    if in_l2.ndim != 1 or in_l2.size < 1:
+        raise ValueError("need at least one incoming value")
+    if np.any(in_l2 < 1.0 / q - 1e-12) or np.any(in_l2 > 1.0 + 1e-12):
+        raise ValueError("incoming values must lie in [1/q, 1]")
+    n = in_l2.size
+    out = 1.0 / q + (q / (q - 1.0)) ** (n - 1) * np.prod(in_l2 - 1.0 / q)
+    out = min(max(out, 1.0 / q), 1.0)
+    return out, 1.0 - out
+
+
+def se_variable_tau(tau2_amp, incoming_tau2s):
+    """Effective noise variance at a variable node: harmonic combination
+    of the AMP observation and the incoming messages' equivalents."""
+    if tau2_amp <= 0:
+        raise ValueError("tau2_amp must be positive")
+    inv = 1.0 / tau2_amp
+    for t2 in incoming_tau2s:
+        if t2 <= 0:
+            raise ValueError("incoming tau2 values must be positive")
+        inv += 1.0 / t2
+    return 1.0 / inv

@@ -5,12 +5,13 @@ from srldpc.codec import snr_to_sigma2
 from srldpc.denoiser import Schedule
 from srldpc.gf import GF2m
 from srldpc.ldpc import build_code
+from srldpc import state_evolution
 from srldpc.state_evolution import (
     _SeGraph, approximate_se, approximate_se_batch, build_candidates,
-    build_psi, get_psi, score_candidates, se_check_mse, se_variable_tau,
+    build_psi, get_psi, score_candidates,
 )
 
-from helpers import reference_approximate_se
+from helpers import reference_approximate_se, se_check_mse, se_variable_tau
 
 
 @pytest.fixture(scope="module")
@@ -71,6 +72,36 @@ def test_psi_inverse_round_trip(psi16):
 
 def test_psi_inverse_uniform_is_inf(psi16):
     assert np.isinf(psi16.inverse(1 / 16))
+
+
+def test_build_psi_stores_running_minimum(monkeypatch):
+    """A raw table that rises at every third point is stored as its
+    running minimum, and the inverse of the stored table is monotone and
+    exact, also next to the flat runs the minimum leaves."""
+    points = state_evolution.PSI_GRID[2]
+    raw = np.linspace(1.0, 1 / 16, points)
+    raw[2::3] += 0.04
+    calls = iter(raw)
+    monkeypatch.setattr(state_evolution, "_mc_alpha0_mean",
+                        lambda *args: next(calls))
+    psi = build_psi(16)
+    expected = [min(raw[:k + 1]) for k in range(points)]
+    np.testing.assert_array_equal(psi.values, expected)
+
+    beliefs = np.linspace(psi.values[-1], psi.values[0], 2001)[1:]
+    tau2 = psi.inverse(beliefs)
+    assert np.all(np.diff(tau2) <= 0)
+    np.testing.assert_allclose(psi.value(tau2), beliefs, rtol=0, atol=1e-12)
+
+
+def test_default_psi_table_decreases_strictly():
+    """The shipped q=16 table needs no running minimum: below the
+    noiseless head, where every estimate is exactly 1, the raw
+    Monte-Carlo estimates fall strictly at every grid point."""
+    values = get_psi(16).values
+    head = values == 1.0
+    assert head[0] and np.all(np.diff(head.astype(int)) <= 0)
+    assert np.all(np.diff(values)[~head[1:]] < 0)
 
 
 def test_build_psi_rejects_tiny_samples():
