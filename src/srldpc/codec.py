@@ -16,11 +16,61 @@ STREAM_BITS = 3
 
 COLUMN_BLOCK = 256    # columns DesignMatrix draws before writing them out
 
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
+_INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
+_INIT_B, _MULT_B = 0x8b51f9dd, 0x58f38ded
+_MIX_MULT_L, _MIX_MULT_R = 0xca01f9dd, 0x4973f715
+_MASK32 = 0xFFFFFFFF
+
 
 def rng_stream(seed, *key):
     """Independent reproducible generator for a (seed, key...) pair."""
     seq = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(seq))
+
+
+def _entropy_words(x):
+    """Number of 32-bit words SeedSequence splits an entropy value into."""
+    if isinstance(x, (int, np.integer)):
+        return max(1, -(-int(x).bit_length() // 32))
+    return sum(_entropy_words(v) for v in x)
+
+
+def _column_keys(seed, stream, n_cols):
+    """Philox keys of the streams rng_stream(seed, stream, j), j < n_cols.
+
+    Row j is SeedSequence(entropy=seed, spawn_key=(stream, j))
+    .generate_state(2, np.uint64), as a (n_cols, 2) uint64 array.  The
+    pool of SeedSequence(entropy=seed, spawn_key=(stream,)) is that
+    sequence's state before the word j is mixed in, so only the last
+    hashmix/mix step and generate_state remain; they run here as uint32
+    arithmetic over all j at once.  Each j is one 32-bit word, so
+    n_cols is at most 2**32.
+    """
+    seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream,))
+    # the seed is padded to the pool size when a spawn key follows it
+    words = (max(_entropy_words(seq.entropy), seq.pool_size)
+             + _entropy_words(stream))
+    # every entropy word mixed in so far advanced hash_a pool_size times
+    hash_a = _INIT_A * pow(_MULT_A, seq.pool_size * words, 1 << 32) & _MASK32
+    hash_b = _INIT_B
+    j = np.arange(n_cols, dtype=np.uint32)
+    state = np.empty((seq.pool_size, n_cols), dtype=np.uint64)
+    for i, pool_word in enumerate(seq.pool.tolist()):
+        h = j ^ np.uint32(hash_a)                        # hashmix(j)
+        hash_a = hash_a * _MULT_A & _MASK32
+        h *= np.uint32(hash_a)
+        h ^= h >> 16
+        x = np.uint32(_MIX_MULT_L * pool_word & _MASK32)  # mix(pool, h)
+        x = x - h * np.uint32(_MIX_MULT_R)
+        x ^= x >> 16
+        x ^= np.uint32(hash_b)                           # generate_state
+        hash_b = hash_b * _MULT_B & _MASK32
+        x *= np.uint32(hash_b)
+        x ^= x >> 16
+        state[i] = x
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32],
+                    axis=1)
 
 
 def index_codeword(v, q):
@@ -46,26 +96,39 @@ class DesignMatrix:
     Column j is drawn from its own (seed, STREAM_MATRIX, j) stream.  That
     stream is what defines a seeded matrix: any column can be regenerated
     alone, and a matrix does not depend on the order its columns are
-    drawn in.  Storage is float32, row-major; products are returned in
-    float64.
+    drawn in.  The Philox keys of all columns are derived in one
+    vectorized pass (_column_keys), and one Philox generator is re-keyed
+    at counter 0 for each column, so column j is exactly what
+    rng_stream(seed, STREAM_MATRIX, j) draws.  Storage is float32,
+    row-major; products are returned in float64.
     """
 
     def __init__(self, n, n_cols, seed):
         self.n = int(n)
         self.n_cols = int(n_cols)
         self.seed = seed
+        for name, value in (("n", self.n), ("n_cols", self.n_cols)):
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        keys = _column_keys(seed, STREAM_MATRIX, self.n_cols)
+        bitgen = np.random.Philox(0)
+        rng = np.random.Generator(bitgen)
+        state = bitgen.state    # counter 0, empty buffer; key set per column
         # Columns are drawn into a small block of rows and written into
         # the row-major matrix a block at a time, so the build holds the
         # matrix once.
         self._A = np.empty((self.n, self.n_cols), dtype=np.float32)
         block = np.empty((min(COLUMN_BLOCK, self.n_cols), self.n),
                          dtype=np.float32)
+        column = np.empty(self.n)
         scale = 1.0 / np.sqrt(self.n)
         for start in range(0, self.n_cols, len(block)):
             stop = min(start + len(block), self.n_cols)
             for j in range(start, stop):
-                rng = rng_stream(self.seed, STREAM_MATRIX, j)
-                block[j - start] = rng.standard_normal(self.n) * scale
+                state["state"]["key"] = keys[j]
+                bitgen.state = state
+                rng.standard_normal(out=column)
+                np.multiply(column, scale, out=block[j - start])
             self._A[:, start:stop] = block[:stop - start].T
 
     def matvec(self, s):

@@ -1,11 +1,13 @@
+import itertools
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from srldpc.codec import (
-    COLUMN_BLOCK, DesignMatrix, awgn, hard_decision, index_codeword,
-    rng_stream, snr_to_sigma2, STREAM_MATRIX, STREAM_NOISE,
+    COLUMN_BLOCK, DesignMatrix, _column_keys, awgn, hard_decision,
+    index_codeword, rng_stream, snr_to_sigma2, STREAM_BITS, STREAM_MATRIX,
+    STREAM_NOISE,
 )
 from srldpc.denoiser import local_posterior
 from srldpc.gf import GF2m
@@ -113,15 +115,52 @@ def test_matrix_deterministic():
 
 def test_column_is_its_own_seeded_stream():
     """Column j of a seeded matrix is regenerable from its own stream,
-    also across the blocks of columns the matrix is built in."""
-    for n_cols in (96, 3 * COLUMN_BLOCK + 5):
-        A = DesignMatrix(40, n_cols, seed=11)
+    also across the blocks of columns the matrix is built in, for
+    one- and two-word seeds."""
+    for seed, n_cols in itertools.product((11, 0, 2 ** 32 + 5),
+                                          (96, 3 * COLUMN_BLOCK + 5)):
+        A = DesignMatrix(40, n_cols, seed=seed)
         assert A._A.flags["C_CONTIGUOUS"]
         for j in {0, 1, 37, COLUMN_BLOCK - 1, COLUMN_BLOCK,
                   2 * COLUMN_BLOCK + 1, n_cols - 1} & set(range(n_cols)):
             col = rng_stream(A.seed, STREAM_MATRIX, j).standard_normal(A.n)
             expected = (col * (1 / np.sqrt(A.n))).astype(np.float32)
             assert np.array_equal(A._A[:, j], expected)
+
+
+@pytest.mark.parametrize("stream", [STREAM_MATRIX, STREAM_BITS])
+@pytest.mark.parametrize("seed", [0, 1, 2 ** 32 - 1, 2 ** 32, 2 ** 64 + 5,
+                                  2 ** 130 + 9, [7, 2 ** 40]])
+def test_column_keys_match_seed_sequence(seed, stream):
+    """Each vectorized key is the Philox key SeedSequence derives for
+    the (seed, stream, j) stream, for one- to five-word seeds and a
+    sequence seed."""
+    n_cols = 300
+    keys = _column_keys(seed, stream, n_cols)
+    assert keys.shape == (n_cols, 2) and keys.dtype == np.uint64
+    for j in (0, 1, 255, 256, n_cols - 1):
+        seq = np.random.SeedSequence(entropy=seed, spawn_key=(stream, j))
+        assert np.array_equal(keys[j], seq.generate_state(2, np.uint64))
+
+
+@pytest.mark.parametrize("seed, error", [(-1, ValueError), (1.5, TypeError)])
+def test_column_keys_reject_bad_seeds_like_rng_stream(seed, error):
+    with pytest.raises(error):
+        rng_stream(seed, STREAM_MATRIX, 0)
+    with pytest.raises(error):
+        _column_keys(seed, STREAM_MATRIX, 4)
+    with pytest.raises(error):
+        DesignMatrix(4, 4, seed)
+
+
+def test_design_matrix_rejects_no_rows():
+    with pytest.raises(ValueError, match=r"^n must"):
+        DesignMatrix(0, 16, seed=1)
+
+
+def test_design_matrix_rejects_no_columns():
+    with pytest.raises(ValueError, match=r"^n_cols must"):
+        DesignMatrix(16, 0, seed=1)
 
 
 def test_design_matrix_build_holds_one_copy():
