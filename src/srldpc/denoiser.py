@@ -29,6 +29,11 @@ take absorbs the labels into v2c and lays it out slot-major; both
 Walsh-Hadamard transforms run on those slot-major rows, and one flat
 take sends them back to edge order with the labels reapplied, into
 c2v.  The two label maps depend on K and are rebuilt when it changes.
+A denoise call owns one pair of flat work arrays, each sized for either
+half's gather, and lends it to every round and to the estimate: a
+gather fills one array, the exclusive product fills the other, and the
+transforms return their result in whichever of the two they were
+given, so no round allocates a fresh (edges, trials, q) array.
 A transform is one product against H_q for q <= 16, and above that two
 radix-16 stages, a product against H_16 and a stacked np.matmul with
 H_{q/16}, which at q=256 take 2q(16 + q/16) flops per row instead of
@@ -64,8 +69,9 @@ class _Hadamard:
     high and low halves: one product of the rows, seen as (rows *
     q/RADIX, RADIX), against H_RADIX transforms the low bits, then a
     stacked np.matmul applies H_{q/RADIX} to each row seen as a
-    (q/RADIX, RADIX) matrix.  The first stage writes into a work buffer
-    kept between calls, so that a round allocates no fresh array for it.
+    (q/RADIX, RADIX) matrix.  The transform keeps no state: the caller
+    passes a work array of the input's shape, and neither stage
+    allocates.
     """
 
     def __init__(self, q):
@@ -74,19 +80,17 @@ class _Hadamard:
         else:
             self.factors = (hadamard_matrix(q // RADIX),
                             hadamard_matrix(RADIX))
-        self._work = np.empty(0)
 
-    def __call__(self, x):
-        """Transform of each row of a C-contiguous (rows, q) array x; the
-        result may take x's memory, so callers pass a fresh array."""
+    def __call__(self, x, work):
+        """Transform of each row of a C-contiguous (rows, q) array x, with
+        work a C-contiguous array of the same shape.  Returns whichever
+        of x and work holds the result; the other one is then free, and
+        its contents are undefined."""
         if len(self.factors) == 1:
-            return np.matmul(x, self.factors[0])
+            return np.matmul(x, self.factors[0], out=work)
         high, low = self.factors
-        if self._work.size != x.size:
-            self._work = np.empty(x.size)
-        z = np.matmul(x.reshape(-1, RADIX), low,
-                      out=self._work.reshape(-1, RADIX))
-        np.matmul(high, z.reshape(-1, len(high), RADIX),
+        np.matmul(x.reshape(-1, RADIX), low, out=work.reshape(-1, RADIX))
+        np.matmul(high, work.reshape(-1, len(high), RADIX),
                   out=x.reshape(-1, len(high), RADIX))
         return x
 
@@ -131,8 +135,9 @@ def local_posterior(r_section, tau2):
     if np.any(np.asarray(tau2) <= 0):
         raise ValueError("tau2 must be positive")
     r = np.atleast_2d(np.asarray(r_section, dtype=np.float64))
-    z = (r - r.max(axis=-1, keepdims=True)) / tau2
-    out, _ = _normalize_rows(np.exp(z))
+    z = r - r.max(axis=-1, keepdims=True)
+    z /= tau2
+    out, _ = _normalize_rows(np.exp(z, out=z))
     return out if np.ndim(r_section) > 1 else out[0]
 
 
@@ -297,34 +302,58 @@ class BpDenoiser:
         girth = self.code.girth
         if not math.isinf(girth) and rounds > girth // 2:
             self._sub_girth += 1
+        work = self._work()
         for _ in range(rounds):
-            self.bp_round()
-        est = self._estimate()
+            self.bp_round(work)
+        est = self._estimate(work[0])
         if self._single:
             return est.ravel()
         return est.transpose(1, 0, 2).reshape(self.trials, -1)
 
-    def bp_round(self):
-        """One flooding round: all variable updates, then all check updates."""
-        self._variable_round()
-        self._check_round()
+    def _work(self):
+        """A pair of flat work arrays, each large enough for a slot-major
+        gather of either half-round at the current batch size."""
+        size = (max(self._var_pad.size, self._chk_pad.size)
+                * self.trials * self.field.q)
+        return np.empty(size), np.empty(size)
 
-    def _variable_round(self):
+    def bp_round(self, work=None):
+        """One flooding round: all variable updates, then all check updates.
+
+        work is a pair from _work(), which denoise() shares among its
+        rounds; a round called alone allocates its own.
+        """
+        if work is None:
+            work = self._work()
+        self._variable_round(*work)
+        self._check_round(*work)
+
+    def _gather_c2v(self, buf):
+        """c2v gathered slot-major into buf, as (slots, L, trials, q)."""
+        return np.take(self._c2v_pad, self._var_pad, axis=0, mode="clip",
+                       out=_shaped(buf, self._var_pad.shape
+                                   + self._c2v_pad.shape[1:]))
+
+    def _variable_round(self, buf, other):
         v2c = self._v2c_pad[: self.code.n_edges]
-        excl = _excl_prod(self._c2v_pad[self._var_pad])
+        gathered = self._gather_c2v(buf)
+        excl = _excl_prod(gathered, _shaped(other, gathered.shape))
         excl *= self._alpha
         np.take(excl.reshape(-1, self.trials, self.field.q), self._var_rows,
                 axis=0, out=v2c, mode="clip")
         self._renorm(v2c)
 
-    def _check_round(self):
+    def _check_round(self, buf, other):
         E, q = self.code.n_edges, self.field.q
         absorb, relabel = self._label_maps()
-        # Chained, so that each slot-major temporary is freed as soon as
-        # the next one exists: peak memory grows with the batch.
-        conv = self._hadamard(_excl_prod(self._hadamard(
-            self._v2c_pad.take(absorb).reshape(-1, q)).reshape(
-                len(self._chk_pad), -1, q)).reshape(-1, q))
+        x = self._v2c_pad.take(absorb, mode="clip",
+                               out=_shaped(buf, absorb.shape)).reshape(-1, q)
+        y = _shaped(other, x.shape)
+        spectra = self._hadamard(x, y)
+        free = y if spectra is x else x
+        slots = (len(self._chk_pad), -1, q)
+        _excl_prod(spectra.reshape(slots), free.reshape(slots))
+        conv = self._hadamard(free, spectra)
         c2v = np.take(conv, relabel, out=self._c2v_pad[:E], mode="clip")
         c2v *= 1.0 / q
         np.maximum(c2v, 0.0, out=c2v)
@@ -333,13 +362,14 @@ class BpDenoiser:
     def estimate(self):
         """Per-section posterior (L, q), or (L, K, q) for a batch,
         including the local observation."""
-        return self._view(self._estimate())
+        return self._view(self._estimate(self._work()[0]))
 
-    def _estimate(self):
+    def _estimate(self, buf):
         if self._alpha is None:
             raise RuntimeError("init_alpha must run before estimate")
-        prod = self._c2v_pad[self._var_pad].prod(axis=0)
-        return self._renorm(prod * self._alpha)
+        prod = self._gather_c2v(buf).prod(axis=0)
+        prod *= self._alpha
+        return self._renorm(prod)
 
     def _renorm(self, mat):
         out, n_bad = _normalize_rows(mat)
@@ -382,9 +412,14 @@ def _widen(flat, trials, q):
     return (flat + shift)[:, None, :] + (np.arange(trials) * q)[:, None]
 
 
-def _excl_prod(a):
-    """Per-slot products along axis 0 excluding the slot itself; a is
-    overwritten (callers pass a fresh gather).
+def _shaped(buf, shape):
+    """The leading entries of a flat work array, viewed in shape."""
+    return buf[: math.prod(shape)].reshape(shape)
+
+
+def _excl_prod(a, out):
+    """Per-slot products along axis 0 excluding the slot itself, written
+    into out (an array of a's shape, which it returns); a is overwritten.
 
     Prefix products run left to right into the output, and suffix
     products right to left in place in a, so that a[k] becomes the
@@ -394,7 +429,6 @@ def _excl_prod(a):
     evolution's scalar products do not come here: _SeGraph runs them on
     its own ragged slot-major layout.
     """
-    out = np.empty_like(a)
     out[0] = 1.0
     for k in range(1, len(a)):
         np.multiply(out[k - 1], a[k - 1], out=out[k])

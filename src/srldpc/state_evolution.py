@@ -79,21 +79,41 @@ class PsiTable:
 
 
 def _mc_alpha0_mean(q, tau2, samples, rng, chunk=1 << 18):
-    """Monte-Carlo mean of alpha(0) for r = e_0 + tau * N(0, I_q)."""
+    """Monte-Carlo mean of alpha(0) for r = e_0 + tau * N(0, I_q).
+
+    Each chunk is drawn into one buffer and transformed in place; the
+    chunk size fixes the summation order.  The row maximum is taken by
+    halving the columns, exact because q is a power of two.
+    """
     tau = np.sqrt(tau2)
     total = 0.0
     done = 0
     per_chunk = max(1, min(samples, chunk // q))
+    buf = np.empty((per_chunk, q))
+    half = np.empty((per_chunk, q // 2))
     while done < samples:
         k = min(per_chunk, samples - done)
-        r = rng.standard_normal((k, q)) * tau
-        r[:, 0] += 1.0
-        x = r / tau2
-        x -= x.max(axis=1, keepdims=True)
-        e = np.exp(x)
-        total += float((e[:, 0] / e.sum(axis=1)).sum())
+        x = buf[:k]
+        rng.standard_normal(out=x)
+        x *= tau
+        x[:, 0] += 1.0
+        x /= tau2
+        x -= _row_max(x, half[:k])
+        np.exp(x, out=x)
+        total += float((x[:, 0] / x.sum(axis=1)).sum())
         done += k
     return total / samples
+
+
+def _row_max(x, half):
+    """Row maxima of x, which has 2^m >= 2 columns, as a (rows, 1) view
+    of half, a work array with at least half as many columns."""
+    width = x.shape[1] // 2
+    m = np.maximum(x[:, :width], x[:, width:], out=half[:, :width])
+    while width > 1:
+        width //= 2
+        np.maximum(m[:, :width], m[:, width:2 * width], out=m[:, :width])
+    return m[:, :1]
 
 
 def build_psi(q, samples=PSI_SAMPLES):

@@ -21,6 +21,10 @@ np.add.at variable sums); the batched recursion must reproduce its
 trajectories bit for bit.  se_check_mse and se_variable_tau are the
 scalar SE rules at one check and one variable node, written out from
 their formulas; the shipped rounds must agree with them edge by edge.
+reference_mc_alpha0_mean is the earlier form of
+state_evolution._mc_alpha0_mean, with a fresh array per chunk step and
+a row maximum by reduction; the shipped in-place form must give the
+same mean bit for bit.
 """
 
 import itertools
@@ -136,6 +140,23 @@ def gaussian_probability_vectors(q, tau2, count, rng):
     x -= x.max(axis=1, keepdims=True)
     e = np.exp(x)
     return e / e.sum(axis=1, keepdims=True)
+
+
+def reference_mc_alpha0_mean(q, tau2, samples, rng, chunk=1 << 18):
+    tau = np.sqrt(tau2)
+    total = 0.0
+    done = 0
+    per_chunk = max(1, min(samples, chunk // q))
+    while done < samples:
+        k = min(per_chunk, samples - done)
+        r = rng.standard_normal((k, q)) * tau
+        r[:, 0] += 1.0
+        x = r / tau2
+        x -= x.max(axis=1, keepdims=True)
+        e = np.exp(x)
+        total += float((e[:, 0] / e.sum(axis=1)).sum())
+        done += k
+    return total / samples
 
 
 def _reference_excl_prod(a):

@@ -2,13 +2,13 @@ import numpy as np
 import pytest
 
 from helpers import (
-    _pad_adjacency, check_round_message, check_update_bruteforce,
-    check_update_convolution, exhaustive_posteriors, fq_convolve,
-    reference_bp_round, reference_estimate,
+    _pad_adjacency, _reference_excl_prod, check_round_message,
+    check_update_bruteforce, check_update_convolution, exhaustive_posteriors,
+    fq_convolve, reference_bp_round, reference_estimate,
 )
 from srldpc.denoiser import (
-    BpDenoiser, Schedule, _Hadamard, _slot_major, divergence_terms,
-    hadamard_matrix, local_posterior,
+    BpDenoiser, Schedule, _excl_prod, _Hadamard, _slot_major,
+    divergence_terms, hadamard_matrix, local_posterior,
 )
 from srldpc.gf import GF2m, fwht
 from srldpc.harness import SimConfig, build_experiment
@@ -56,13 +56,17 @@ def test_hadamard_matrix_entries_and_inverse(m):
     assert np.array_equal(H @ H, q * np.eye(q))
 
 
+def _transform(T, x):
+    return T(x, np.empty_like(x))
+
+
 @pytest.mark.parametrize("m", range(1, 9))
 def test_hadamard_transform_matches_fwht(m):
     q = 1 << m
     rng = np.random.default_rng(20 + m)
     x = rng.standard_normal((37, q)) * rng.random((37, 1)) * 10.0
     T = _Hadamard(q)
-    got = T(x.copy())
+    got = _transform(T, x.copy())
     ref = fwht(x)
     err = np.abs(got - ref).max(axis=1) / np.abs(ref).max(axis=1)
     assert err.max() <= 1e-13
@@ -73,7 +77,7 @@ def test_hadamard_transform_matches_fwht(m):
     # on small integers every sum is exact, so the stages must agree
     # with the butterfly exactly
     k = rng.integers(-50, 50, size=(37, q)).astype(np.float64)
-    assert np.array_equal(T(k.copy()), fwht(k))
+    assert np.array_equal(_transform(T, k.copy()), fwht(k))
 
 
 @pytest.mark.parametrize("m", range(1, 9))
@@ -82,9 +86,42 @@ def test_hadamard_transform_twice_is_q_times_identity(m):
     rng = np.random.default_rng(40 + m)
     T = _Hadamard(q)
     k = rng.integers(-50, 50, size=(9, q)).astype(np.float64)
-    assert np.array_equal(T(T(k.copy())), q * k)
+    assert np.array_equal(_transform(T, _transform(T, k.copy())), q * k)
     x = rng.random((9, q))
-    assert np.abs(T(T(x.copy())) - q * x).max() <= 1e-13 * q
+    assert np.abs(_transform(T, _transform(T, x.copy())) - q * x).max() \
+        <= 1e-13 * q
+
+
+@pytest.mark.parametrize("m", [1, 4, 5, 8])
+def test_hadamard_transform_result_in_x_or_work(m):
+    """One stage (m <= 4) and two stages (m > 4): the result takes the
+    memory of x or of work, and the other array is free to overwrite."""
+    q = 1 << m
+    rng = np.random.default_rng(60 + m)
+    k = rng.integers(-50, 50, size=(11, q)).astype(np.float64)
+    x, work = k.copy(), np.empty_like(k)
+    got = _Hadamard(q)(x, work)
+    assert got is x or got is work
+    free = work if got is x else x
+    free[...] = np.nan
+    assert np.array_equal(got, fwht(k))
+
+
+# ---------------------------------------------------------------------------
+# Exclusive products
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("slots", [1, 2, 3, 7])
+def test_excl_prod_writes_out_and_matches_reference(slots):
+    """_excl_prod on a slot-major (slots, nodes, trials, q) stack returns
+    out, bitwise the node-major cumprod form on the same products."""
+    rng = np.random.default_rng(slots)
+    a = rng.random((slots, 5, 3, 8)) + 0.5
+    out = np.empty_like(a)
+    got = _excl_prod(a.copy(), out)
+    assert got is out
+    ref = np.moveaxis(_reference_excl_prod(np.moveaxis(a, 0, 1)), 1, 0)
+    assert np.array_equal(got, ref)
 
 
 # ---------------------------------------------------------------------------

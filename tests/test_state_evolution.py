@@ -11,7 +11,10 @@ from srldpc.state_evolution import (
     build_psi, get_psi, score_candidates,
 )
 
-from helpers import reference_approximate_se, se_check_mse, se_variable_tau
+from helpers import (
+    reference_approximate_se, reference_mc_alpha0_mean, se_check_mse,
+    se_variable_tau,
+)
 
 
 @pytest.fixture(scope="module")
@@ -102,6 +105,29 @@ def test_default_psi_table_decreases_strictly():
     head = values == 1.0
     assert head[0] and np.all(np.diff(head.astype(int)) <= 0)
     assert np.all(np.diff(values)[~head[1:]] < 0)
+
+
+@pytest.mark.parametrize("q", [2, 4, 16, 256])
+@pytest.mark.parametrize("chunk", [1 << 18, 1 << 12])
+def test_mc_alpha0_mean_matches_reference_bitwise(q, chunk):
+    """The in-place Monte-Carlo step draws the same normals and gives the
+    same mean as the fresh-array loop, bit for bit, over several chunks
+    and a short last one (chunk 1 << 12) as well as over one chunk."""
+    for tau2 in (1e-3, 0.3, 40.0):
+        got = state_evolution._mc_alpha0_mean(
+            q, tau2, 10_000, np.random.default_rng(q), chunk)
+        want = reference_mc_alpha0_mean(
+            q, tau2, 10_000, np.random.default_rng(q), chunk)
+        assert got == want
+
+
+@pytest.mark.parametrize("q", [2, 4, 16, 256])
+def test_row_max_by_halving_is_the_row_maximum(q):
+    x = np.random.default_rng(q).standard_normal((33, q)) * 50.0
+    x[3] = -np.inf
+    x[4, q - 1] = np.inf
+    got = state_evolution._row_max(x, np.empty((33, q // 2)))
+    assert np.array_equal(got, x.max(axis=1, keepdims=True))
 
 
 def test_build_psi_rejects_tiny_samples():
