@@ -28,28 +28,60 @@ in alpha and takes each edge's row into v2c.  The check half's one flat
 take absorbs the labels into v2c and lays it out slot-major; both
 Walsh-Hadamard transforms run on those slot-major rows, and one flat
 take sends them back to edge order with the labels reapplied, into
-c2v.  The two label maps depend on K and are rebuilt when it changes.
-A denoise call owns one pair of flat work arrays, each sized for either
-half's gather, and lends it to every round and to the estimate: a
-gather fills one array, the exclusive product fills the other, and the
-transforms return their result in whichever of the two they were
-given, so no round allocates a fresh (edges, trials, q) array.
-A transform is one product against H_q for q <= 16, and above that two
+c2v.  A denoise call owns one pair of flat work arrays, each sized for
+either half's gather, and lends it to every round and to the estimate:
+a gather fills one array, the exclusive product fills the other, and
+the transforms return their result in whichever of the two they were
+given, so no round allocates a fresh (edges, trials, q) array.  A
+transform is one product against H_q for q <= 16, and above that two
 radix-16 stages, a product against H_16 and a stacked np.matmul with
 H_{q/16}, which at q=256 take 2q(16 + q/16) flops per row instead of
 2q^2.  Every entry goes through the same floating-point operations as
 in a one-trial denoiser, so a trial's results do not depend on the
 trials batched with it.  compact() drops finished trials from the batch.
+
+A flooding half-round updates each node independently of the others,
+and numpy releases the GIL in every operation a round makes, so a
+large half-round runs as parts over contiguous node ranges on the
+process's CPUs.  The variable half runs each variable range's gather,
+exclusive product and alpha product, then, after a join, takes each
+contiguous range of v2c rows out and renormalizes it.  Each check range
+runs the whole check half: edges are sorted by check, so it writes a
+contiguous run of c2v rows.  The estimate splits by variable ranges the
+same way.  A gathered stack is laid out part-major: the block of the
+nodes lo..hi-1 holds their rows slot-major and starts at row slots *
+lo, so the parts tile the work pair and one set of maps serves every
+part count; with one part it is the slot-major layout above.  The
+maps depend on K and the part count and are rebuilt when either
+changes.  part_count gives one part per CPU in the affinity mask, with
+at least MIN_PART message entries each; the first part runs on the
+calling thread and the others on helper threads that the half-round
+starts and joins, with OpenBLAS on one thread meanwhile, and the
+calling thread sums the parts' underflow counts.  A forked decode
+worker runs one part (run_one_part).  Each part puts whole rows
+through the operations one part would, so results do not depend on
+the part count.
 """
 
 import math
+import os
+import threading
 
 import numpy as np
 
+from . import blas
 from .gf import fwht
 
 MSG_FLOOR = 1e-30
 RADIX = 16
+# Fewest message entries (edges * trials * q) a part of a half-round
+# updates.  On two CPUs two parts broke even at about 150,000 entries (a
+# q=256 code with 600 edges, K=1) and below that the threads and the
+# repeated numpy calls cost more than the second CPU saves, so a
+# half-round splits from 200,000 entries on (see part_count).
+MIN_PART = 100_000
+
+_one_part = False   # set in forked decode workers by run_one_part()
 
 
 def hadamard_matrix(q):
@@ -187,26 +219,14 @@ class BpDenoiser:
         self.code = code
         self.field = code.field
         self.schedule = schedule
-
-        q = self.field.q
-        self._hadamard = _Hadamard(q)
-
-        # Slot-major padded gather maps (slots, nodes), padded with E, and
-        # each edge's flat (slot, node) row in a gathered stack.
-        self._var_pad, self._var_rows = _slot_major(code.edge_var, code.L)
-        self._chk_pad, chk_rows = _slot_major(code.edge_chk, code.P)
-        mul = self.field.mul_table
-        # Flat label maps of one trial, built in place; _label_maps widens
-        # them to K trials.  Padded slots keep the neutral row as it is.
-        # absorbed[s * P + c, g] = v2c[e, g * inv(label_e)], e = chk_pad[s, c]
-        labels = np.append(code.edge_label, 1)[self._chk_pad.ravel()]
-        absorb = mul[self.field.inv(labels)]
-        absorb += self._chk_pad.reshape(-1, 1) * q
-        # c2v[e, g] = conv[chk_rows[e], g * label_e]
-        relabel = mul[code.edge_label]
-        relabel += chk_rows[:, None] * q
-        self._maps1 = (absorb, relabel)
-
+        self._hadamard = _Hadamard(self.field.q)
+        # Slot-major padded adjacency (slots, nodes), padded with E.
+        self._var_pad = _slot_major(code.edge_var, code.L)
+        self._chk_pad = _slot_major(code.edge_chk, code.P)
+        # Edges are sorted by check: check c owns edges
+        # chk_start[c]..chk_start[c + 1] - 1.
+        self._chk_start = np.searchsorted(code.edge_chk,
+                                          np.arange(code.P + 1))
         self._alpha = None
         self._single = True
         self._resize(1)
@@ -215,7 +235,7 @@ class BpDenoiser:
         """Fresh messages and counters for a batch size."""
         E, q = self.code.n_edges, self.field.q
         self.trials = trials
-        self._maps = None
+        self._plan = None
         self._c2v_pad = np.empty((E + 1, trials, q))
         self._v2c_pad = np.empty((E + 1, trials, q))
         self._underflow = np.zeros(trials, dtype=np.int64)
@@ -226,7 +246,7 @@ class BpDenoiser:
         """Keep only the trials at positions keep (ascending) of the batch,
         with their messages, local posteriors and counters."""
         self.trials = len(keep)
-        self._maps = None
+        self._plan = None
         self._c2v_pad = self._c2v_pad.take(keep, axis=1)
         self._v2c_pad = self._v2c_pad.take(keep, axis=1)
         self._underflow = self._underflow[keep]
@@ -234,13 +254,12 @@ class BpDenoiser:
         if self._alpha is not None:
             self._alpha = self._alpha.take(keep, axis=1)
 
-    def _label_maps(self):
-        """(absorb, relabel) flat label maps for the current batch size,
-        built by the first check round after it changes."""
-        if self._maps is None:
-            self._maps = tuple(_widen(flat, self.trials, self.field.q)
-                               for flat in self._maps1)
-        return self._maps
+    def _layout(self):
+        """The _Plan of the current batch size, built by the first round
+        or estimate after it changes."""
+        if self._plan is None:
+            self._plan = _Plan(self)
+        return self._plan
 
     def _view(self, a):
         """a with the trial axis (axis 1) dropped for a single trial."""
@@ -294,10 +313,14 @@ class BpDenoiser:
 
     def denoise(self, r, tau2, t):
         """One denoiser evaluation at AMP iteration t; returns the
-        posterior in the shape of r: flat (qL,) or (K, qL)."""
+        posterior in the shape of r: flat (qL,) or (K, qL).
+
+        Without keep-graph only c2v restarts uniform: the first variable
+        round rewrites every v2c row before any check reads one, so v2c
+        holds the last round's messages until then."""
         self.init_alpha(r, tau2)
         if not self.schedule.keep_graph:
-            self.reset_messages()
+            self._c2v_pad[: self.code.n_edges] = 1.0 / self.field.q
         rounds = self.schedule.rounds(t)
         girth = self.code.girth
         if not math.isinf(girth) and rounds > girth // 2:
@@ -312,7 +335,8 @@ class BpDenoiser:
 
     def _work(self):
         """A pair of flat work arrays, each large enough for a slot-major
-        gather of either half-round at the current batch size."""
+        gather of either half-round at the current batch size or a
+        smaller one."""
         size = (max(self._var_pad.size, self._chk_pad.size)
                 * self.trials * self.field.q)
         return np.empty(size), np.empty(size)
@@ -321,60 +345,99 @@ class BpDenoiser:
         """One flooding round: all variable updates, then all check updates.
 
         work is a pair from _work(), which denoise() shares among its
-        rounds; a round called alone allocates its own.
+        rounds; a round called without one allocates its own.
         """
         if work is None:
             work = self._work()
         self._variable_round(*work)
         self._check_round(*work)
 
-    def _gather_c2v(self, buf):
-        """c2v gathered slot-major into buf, as (slots, L, trials, q)."""
-        return np.take(self._c2v_pad, self._var_pad, axis=0, mode="clip",
-                       out=_shaped(buf, self._var_pad.shape
-                                   + self._c2v_pad.shape[1:]))
+    def _rows(self, buf, lo, hi):
+        """Rows lo..hi-1 of a flat work array seen as (rows, trials, q)."""
+        shape = (hi - lo, self.trials, self.field.q)
+        row = shape[1] * shape[2]
+        return buf[lo * row: hi * row].reshape(shape)
+
+    def _gather_c2v(self, buf, lo, hi):
+        """c2v of variables lo..hi-1 gathered slot-major into their block
+        of buf, as (slots, hi - lo, trials, q)."""
+        n = len(self._var_pad)
+        out = self._rows(buf, n * lo, n * hi)
+        np.take(self._c2v_pad, self._layout().var_gather[n * lo: n * hi],
+                axis=0, mode="clip", out=out)
+        return out.reshape(n, hi - lo, *out.shape[1:])
 
     def _variable_round(self, buf, other):
-        v2c = self._v2c_pad[: self.code.n_edges]
-        gathered = self._gather_c2v(buf)
-        excl = _excl_prod(gathered, _shaped(other, gathered.shape))
-        excl *= self._alpha
-        np.take(excl.reshape(-1, self.trials, self.field.q), self._var_rows,
-                axis=0, out=v2c, mode="clip")
-        self._renorm(v2c)
+        plan = self._layout()
+
+        def product(lo, hi):
+            gathered = self._gather_c2v(buf, lo, hi)
+            n = len(gathered)
+            excl = _excl_prod(gathered, self._rows(other, n * lo, n * hi)
+                              .reshape(gathered.shape))
+            excl *= self._alpha[lo:hi]
+
+        _in_parts(product, plan.var_ranges)
+        stack = self._rows(other, 0, self._var_pad.size)
+
+        def take(lo, hi):
+            v2c = self._v2c_pad[lo:hi]
+            np.take(stack, plan.var_rows[lo:hi], axis=0, out=v2c,
+                    mode="clip")
+            return _normalize_rows(v2c)[1]
+
+        self._count(_in_parts(take, plan.edge_ranges))
 
     def _check_round(self, buf, other):
-        E, q = self.code.n_edges, self.field.q
-        absorb, relabel = self._label_maps()
-        x = self._v2c_pad.take(absorb, mode="clip",
-                               out=_shaped(buf, absorb.shape)).reshape(-1, q)
-        y = _shaped(other, x.shape)
-        spectra = self._hadamard(x, y)
-        free = y if spectra is x else x
-        slots = (len(self._chk_pad), -1, q)
-        _excl_prod(spectra.reshape(slots), free.reshape(slots))
-        conv = self._hadamard(free, spectra)
-        c2v = np.take(conv, relabel, out=self._c2v_pad[:E], mode="clip")
-        c2v *= 1.0 / q
-        np.maximum(c2v, 0.0, out=c2v)
-        self._renorm(c2v)
+        plan = self._layout()
+        q = self.field.q
+        n = len(self._chk_pad)
 
-    def estimate(self):
+        def check(lo, hi):
+            x = self._v2c_pad.take(plan.absorb[n * lo: n * hi], mode="clip",
+                                   out=self._rows(buf, n * lo, n * hi))
+            x = x.reshape(-1, q)
+            y = self._rows(other, n * lo, n * hi).reshape(-1, q)
+            spectra = self._hadamard(x, y)
+            free = y if spectra is x else x
+            _excl_prod(spectra.reshape(n, -1, q), free.reshape(n, -1, q))
+            conv = self._hadamard(free, spectra)
+            first, end = self._chk_start[lo], self._chk_start[hi]
+            c2v = np.take(conv, plan.relabel[first:end], mode="clip",
+                          out=self._c2v_pad[first:end])
+            c2v *= 1.0 / q
+            np.maximum(c2v, 0.0, out=c2v)
+            return _normalize_rows(c2v)[1]
+
+        self._count(_in_parts(check, plan.chk_ranges))
+
+    def estimate(self, work=None):
         """Per-section posterior (L, q), or (L, K, q) for a batch,
-        including the local observation."""
-        return self._view(self._estimate(self._work()[0]))
+        including the local observation.  work is an optional pair from
+        _work(), as for bp_round."""
+        if work is None:
+            work = self._work()
+        return self._view(self._estimate(work[0]))
 
     def _estimate(self, buf):
         if self._alpha is None:
             raise RuntimeError("init_alpha must run before estimate")
-        prod = self._gather_c2v(buf).prod(axis=0)
-        prod *= self._alpha
-        return self._renorm(prod)
+        plan = self._layout()
+        est = np.empty(self._alpha.shape)
 
-    def _renorm(self, mat):
-        out, n_bad = _normalize_rows(mat)
-        self._underflow += n_bad
-        return out
+        def product(lo, hi):
+            post = np.prod(self._gather_c2v(buf, lo, hi), axis=0,
+                           out=est[lo:hi])
+            post *= self._alpha[lo:hi]
+            return _normalize_rows(post)[1]
+
+        self._count(_in_parts(product, plan.var_ranges))
+        return est
+
+    def _count(self, fallbacks):
+        """Add the parts' counts of rows that fell back to uniform."""
+        for n_bad in fallbacks:
+            self._underflow += n_bad
 
     def metadata(self):
         """Counters of the trial, or a list with one dict per trial."""
@@ -385,13 +448,102 @@ class BpDenoiser:
         return per_trial[0] if self._single else per_trial
 
 
+class _Plan:
+    """How a denoiser splits its half-rounds at one batch size K: the
+    node ranges (var_ranges, chk_ranges) and v2c row ranges
+    (edge_ranges) of its parts, at most one per node or row, and the
+    part-major maps.  var_gather holds the c2v rows the variable gather
+    takes, var_rows each edge's row in the gathered variable stack,
+    absorb the flat v2c entries the check gather takes, with the labels
+    absorbed, and relabel each c2v entry's flat position in its part's
+    block, with the labels reapplied."""
+
+    def __init__(self, den):
+        code, field = den.code, den.field
+        E, q, K = code.n_edges, field.q, den.trials
+        self.parts = part_count(E * K * q)
+        self.var_ranges = _ranges(code.L, self.parts)
+        self.chk_ranges = _ranges(code.P, self.parts)
+        self.edge_ranges = _ranges(E, self.parts)
+        self.var_gather, self.var_rows = _part_major(
+            den._var_pad, self.var_ranges, E)
+        chk_gather, chk_rows = _part_major(den._chk_pad, self.chk_ranges, E)
+        # absorbed[i, g] = v2c[e, g * inv(label_e)], e = chk_gather[i];
+        # padded slots keep the neutral row as it is
+        labels = np.append(code.edge_label, 1)[chk_gather]
+        absorb = field.mul_table[field.inv(labels)]
+        absorb += chk_gather[:, None] * q
+        # c2v[e, g] = conv[row of e in its part's block, g * label_e]
+        n = len(den._chk_pad)
+        for lo, hi in self.chk_ranges:
+            edges = slice(den._chk_start[lo], den._chk_start[hi])
+            chk_rows[edges] -= n * lo
+        relabel = field.mul_table[code.edge_label]
+        relabel += chk_rows[:, None] * q
+        self.absorb = _widen(absorb, K, q)
+        self.relabel = _widen(relabel, K, q)
+
+
+def part_count(entries):
+    """Parts for a half-round that updates `entries` message entries
+    (edges * trials * q): one per CPU in this process's affinity mask,
+    with no part below MIN_PART entries; one after run_one_part(), and
+    where the platform has no affinity mask (macOS, Windows)."""
+    if _one_part or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), entries // MIN_PART))
+
+
+def run_one_part():
+    """Run every later half-round of this process as one part on the
+    calling thread.  A forked decode worker has a CPU to itself, and
+    helper threads of its own would contend with the other workers."""
+    global _one_part
+    _one_part = True
+
+
+def _ranges(n, parts):
+    """Up to `parts` contiguous ranges (lo, hi) of near-equal length that
+    tile 0..n-1, none empty; one empty range for n = 0."""
+    k = max(1, min(parts, n))
+    return [(n * i // k, n * (i + 1) // k) for i in range(k)]
+
+
+def _in_parts(part, ranges):
+    """[part(lo, hi) for (lo, hi) in ranges]: the first range on the
+    calling thread, each other one on a helper thread, all of them
+    joined before this returns, with OpenBLAS on one thread meanwhile.
+    An exception raised in a part is raised here with its type."""
+    if len(ranges) == 1:
+        return [part(*ranges[0])]
+    results, errors = [None] * len(ranges), []
+
+    def run(i):
+        try:
+            results[i] = part(*ranges[i])
+        except BaseException as exc:   # raised again below, after the join
+            errors.append(exc)
+
+    helpers = [threading.Thread(target=run, args=(i,))
+               for i in range(1, len(ranges))]
+    with blas.one_thread():
+        try:
+            for helper in helpers:
+                helper.start()
+            run(0)
+        finally:
+            for helper in helpers:
+                if helper.ident is not None:
+                    helper.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
 def _slot_major(node_of_edge, n_nodes):
     """Padded (slots, nodes) edge ids for slot-major gathers, pads holding
-    the dummy id E = len(node_of_edge), and each edge's flat row
-    slot * n_nodes + node in a gathered (slots * n_nodes, ...) stack.
-
-    An edge's slot is its rank among its node's edges by id.
-    """
+    the dummy id E = len(node_of_edge).  An edge's slot is its rank
+    among its node's edges by id."""
     E = len(node_of_edge)
     deg = np.bincount(node_of_edge, minlength=n_nodes)
     slot = np.empty(E, dtype=np.intp)
@@ -399,7 +551,18 @@ def _slot_major(node_of_edge, n_nodes):
         np.arange(E) - np.repeat(np.cumsum(deg) - deg, deg))
     pad = np.full((max(deg.max(initial=0), 1), n_nodes), E, dtype=np.intp)
     pad[slot, node_of_edge] = np.arange(E)
-    return pad, slot * n_nodes + node_of_edge
+    return pad
+
+
+def _part_major(pad, ranges, n_edges):
+    """The entries of a padded (slots, nodes) adjacency in part-major
+    order, for each node range in turn its columns slot by slot, and
+    each edge's position in that order; pads hold n_edges."""
+    order = np.concatenate([pad[:, lo:hi].ravel() for lo, hi in ranges])
+    rows = np.empty(n_edges, dtype=np.intp)
+    real = order < n_edges
+    rows[order[real]] = np.flatnonzero(real)
+    return order, rows
 
 
 def _widen(flat, trials, q):
@@ -410,11 +573,6 @@ def _widen(flat, trials, q):
         return flat[:, None, :]
     shift = flat[:, :1] // q * ((trials - 1) * q)
     return (flat + shift)[:, None, :] + (np.arange(trials) * q)[:, None]
-
-
-def _shaped(buf, shape):
-    """The leading entries of a flat work array, viewed in shape."""
-    return buf[: math.prod(shape)].reshape(shape)
 
 
 def _excl_prod(a, out):

@@ -30,13 +30,13 @@ tallies each trial's result in trial index order, so every sum, and
 hence every tally, depends only on (config, seed) and not on the worker
 count.  run_point stops at the exact trial that reaches target_errors;
 the workers are then killed and joined, whatever they still decode,
-before it returns.  Each worker runs OpenBLAS on one thread, and a
-worker that exits without a result is a RuntimeError, not a wait that
-never ends.  At the desk waterfall point under bpn this decodes about
-94 trials/s on two workers, against 57 on one (BENCH_14.json).
+before it returns.  Each worker runs OpenBLAS and the BP denoiser on
+one thread, and a worker that exits without a result is a
+RuntimeError, not a wait that never ends.  At the desk waterfall point
+this decodes about 85 trials/s under bpn and 116 under bp0 on two
+workers (medians of ten runs in BENCH_20.json).
 """
 
-import ctypes
 import json
 import multiprocessing
 import os
@@ -55,7 +55,8 @@ from .codec import (
     DesignMatrix, snr_to_sigma2, index_codeword, awgn,
     rng_stream, STREAM_MATRIX, STREAM_LABELS, STREAM_NOISE, STREAM_BITS,
 )
-from .denoiser import Schedule
+from . import blas
+from .denoiser import Schedule, run_one_part
 from .gf import GF2m
 from .ldpc import build_code, bits_to_symbols, check_peg_profile
 from .state_evolution import (
@@ -71,14 +72,6 @@ MATRIX_POLICIES = ("fixed", "per_trial")
 # depend on it, and 8 trials take most of the per-round overhead out of
 # the BP denoiser at desk scale for little extra memory.
 BATCH = 8
-
-# OpenBLAS's thread-count setter under the names that the numpy and
-# scipy wheels (scipy-openblas, openblas64_) and a plain build export.
-_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_",
-                     "scipy_openblas_set_num_threads",
-                     "openblas_set_num_threads64_",
-                     "openblas_set_num_threads")
-
 
 class ConfigError(ValueError):
     pass
@@ -355,8 +348,14 @@ def _point_trials(cfg, code, encoder, sigma2, params, snr_index, trials):
 
 def _work(job, batches, send):
     """Worker body: decode the batches in order and send (True, result)
-    for each, or (False, exception) for the first one that raises."""
-    _one_blas_thread()
+    for each, or (False, exception) for the first one that raises.
+
+    A worker has a CPU to itself, so it runs OpenBLAS and each BP
+    half-round on one thread: threads of its own would contend with the
+    other workers for the CPUs.  Two workers running OpenBLAS on two
+    threads each decoded the desk point slower than one process."""
+    blas.set_threads(1)
+    run_one_part()
     for batch in batches:
         try:
             result = job(batch)
@@ -379,31 +378,6 @@ def _in_order(pipes, count):
         if not ok:
             raise result
         yield result
-
-
-def _one_blas_thread():
-    """Set every OpenBLAS loaded in this process to one thread.  A worker
-    has a CPU to itself, and BLAS threads of its own would contend with
-    the other workers for the CPUs: two workers running OpenBLAS on two
-    threads each decoded the desk point slower than one process."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = {line.split(maxsplit=5)[-1].strip() for line in fh
-                     if "openblas" in line}
-    except OSError:
-        return
-    for path in paths:
-        try:
-            lib = ctypes.CDLL(path)
-        except OSError:
-            continue
-        for name in _BLAS_SET_THREADS:
-            if hasattr(lib, name):
-                set_threads = getattr(lib, name)
-                set_threads.argtypes = [ctypes.c_int]
-                set_threads.restype = None
-                set_threads(1)
-                break
 
 
 def run_trial(cfg, code, encoder, A, sigma2, params, snr_index, trial):

@@ -25,9 +25,13 @@ reference_mc_alpha0_mean is the earlier form of
 state_evolution._mc_alpha0_mean, with a fresh array per chunk step and
 a row maximum by reduction; the shipped in-place form must give the
 same mean bit for bit.
+openblas_thread_getters reads the thread count of each OpenBLAS in the
+process through ctypes on its own, not through srldpc.blas.
 """
 
+import ctypes
 import itertools
+import os
 
 import numpy as np
 
@@ -362,3 +366,25 @@ def se_variable_tau(tau2_amp, incoming_tau2s):
             raise ValueError("incoming tau2 values must be positive")
         inv += 1.0 / t2
     return 1.0 / inv
+
+
+def openblas_thread_getters():
+    """The thread-count getter of each OpenBLAS loaded in this process."""
+    if not os.path.exists("/proc/self/maps"):
+        return []
+    with open("/proc/self/maps") as fh:
+        paths = {line.split(maxsplit=5)[-1].strip() for line in fh
+                 if "openblas" in line}
+    getters = []
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_num_threads64_",
+                     "scipy_openblas_get_num_threads",
+                     "openblas_get_num_threads64_",
+                     "openblas_get_num_threads"):
+            if hasattr(lib, name):
+                getter = getattr(lib, name)
+                getter.argtypes, getter.restype = [], ctypes.c_int
+                getters.append(getter)
+                break
+    return getters

@@ -1,14 +1,19 @@
+import threading
+
 import numpy as np
 import pytest
 
 from helpers import (
     _pad_adjacency, _reference_excl_prod, check_round_message,
     check_update_bruteforce, check_update_convolution, exhaustive_posteriors,
-    fq_convolve, reference_bp_round, reference_estimate,
+    fq_convolve, openblas_thread_getters, reference_bp_round,
+    reference_estimate,
 )
+from srldpc import denoiser
 from srldpc.denoiser import (
-    BpDenoiser, Schedule, _excl_prod, _Hadamard, _slot_major,
-    divergence_terms, hadamard_matrix, local_posterior,
+    BpDenoiser, Schedule, _excl_prod, _Hadamard, _part_major, _ranges,
+    _slot_major, divergence_terms, hadamard_matrix, local_posterior,
+    part_count,
 )
 from srldpc.gf import GF2m, fwht
 from srldpc.harness import SimConfig, build_experiment
@@ -460,20 +465,29 @@ LAYOUT_CODES = {
 def test_slot_major_layout_matches_node_major_oracle(case):
     """Each edge sits once at its (slot, node) of the node-major padded
     adjacency, pads hold E, and each edge's row picks the edge out of a
-    gathered stack."""
+    gathered stack, in the slot-major order of one part and in the
+    part-major order of two and three."""
     code = LAYOUT_CODES[case]()
     E = code.n_edges
     for node_of_edge, n_nodes, edge_lists in (
             (code.edge_var, code.L, code.var_edges),
             (code.edge_chk, code.P, code.chk_edges)):
-        pad, rows = _slot_major(node_of_edge, n_nodes)
+        pad = _slot_major(node_of_edge, n_nodes)
         ref, mask = _pad_adjacency(edge_lists, E)
         assert np.array_equal(pad, ref.T)
         assert np.array_equal(np.sort(pad[mask.T]), np.arange(E))
         assert np.all(pad[~mask.T] == E)
         msgs = np.arange(2.0 * (E + 1)).reshape(E + 1, 2)
-        stack = msgs[pad].reshape(-1, 2)
-        assert np.array_equal(stack[rows], msgs[:E])
+        order, rows = _part_major(pad, _ranges(n_nodes, 1), E)
+        assert np.array_equal(order, pad.ravel())
+        assert np.array_equal(msgs[pad].reshape(-1, 2)[rows], msgs[:E])
+        for parts in (2, 3):
+            ranges = _ranges(n_nodes, parts)
+            bounds = [lo for lo, _ in ranges] + [n_nodes]
+            assert [hi for _, hi in ranges] == bounds[1:]
+            order, rows = _part_major(pad, ranges, E)
+            assert np.array_equal(np.sort(order), np.sort(pad.ravel()))
+            assert np.array_equal(msgs[order][rows], msgs[:E])
 
 
 def test_cycle_free_code_exact_posteriors():
@@ -532,3 +546,157 @@ def test_schedule_kinds():
     assert Schedule("bp1kg").keep_graph
     with pytest.raises(ValueError):
         Schedule("nope")
+
+
+# ---------------------------------------------------------------------------
+# Half-rounds split into parts
+# ---------------------------------------------------------------------------
+
+PART_CASES = {
+    **{f"{case}-{schedule}": (ORACLE_CODES[case], schedule)
+       for case in ORACLE_CODES for schedule in ("bpn", "bp1kg")},
+    **{f"q{case}": (WIDE_CODES[case], "bpn") for case in WIDE_CODES},
+    "uncoded": (LAYOUT_CODES["uncoded"], "bpn"),
+    # L=1 variable, fewer than the parts
+    "star": (LAYOUT_CODES["star"], "bpn"),
+    # P=2 checks, fewer than three parts
+    "two-checks": (lambda: build_code(GF2m(4), L=12, P=2, dv=2, seed=1)[0],
+                   "bpn"),
+}
+
+
+def _bp_trace(code, schedule, trials, underflow):
+    """Every message, estimate and counter a denoiser exposes over four
+    denoise calls and then three lone rounds on a work pair of their
+    own, and the part count it ran; with underflow, the lone rounds
+    start from one-hot alpha on symbol 1 and c2v on symbol 2, so every
+    variable product is exactly 0."""
+    q = code.field.q
+    rng = np.random.default_rng(21)
+    den = BpDenoiser(code, Schedule(schedule))
+    seen = []
+    for t, tau2 in enumerate((0.5, 0.1, 0.02, 1e-4)):
+        r = rng.standard_normal((trials, code.L * q)) * np.sqrt(tau2)
+        r[:, ::q] += 1.0
+        tau2 = tau2 * np.linspace(1.0, 2.0, trials)
+        out = (den.denoise(r[0], tau2[0], t) if trials == 1
+               else den.denoise(r, tau2, t))
+        seen += [out, den.v2c.copy(), den.c2v.copy(), den.metadata()]
+    den.reset_messages()
+    if underflow:
+        den.alpha = np.broadcast_to(np.eye(q)[1], den.alpha.shape)
+        den.c2v[:] = np.eye(q)[2]
+    work = den._work()
+    for _ in range(3):
+        den.bp_round(work)
+        seen += [den.v2c.copy(), den.c2v.copy(), den.estimate(work),
+                 den.metadata()]
+    return seen, den._layout().parts
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("case", sorted(PART_CASES))
+def test_any_part_count_is_one_part_bitwise(case, trials, cpus,
+                                            monkeypatch):
+    """Two and three parts give every message, estimate and underflow
+    counter bit for bit as one part does, for one trial and a stack."""
+    make, schedule = PART_CASES[case]
+    code = make()
+    underflow = case.startswith("underflow")
+    cpus(1)
+    one, parts = _bp_trace(code, schedule, trials, underflow)
+    assert parts == 1
+    monkeypatch.setattr(denoiser, "MIN_PART", 1)
+    for count in (2, 3):
+        cpus(count)
+        split, parts = _bp_trace(code, schedule, trials, underflow)
+        # a code with no edges has no messages to split
+        assert parts == (count if code.n_edges else 1)
+        assert len(split) == len(one)
+        for a, b in zip(one, split):
+            if isinstance(a, np.ndarray):
+                assert np.array_equal(a, b)
+            else:
+                assert a == b
+    counts = one[-1] if trials == 1 else one[-1][0]
+    assert (counts["underflow_events"] > 0) == underflow
+
+
+def test_part_count_rule(cpus, monkeypatch):
+    """One part per CPU, none below MIN_PART entries: with the shipped
+    constant the desk code's batch of 8 runs one part on two CPUs and
+    the paper-scale K=1 code splits in two."""
+    cpus(2)
+    desk = ORACLE_CODES["desk"]()
+    den = BpDenoiser(desk, Schedule("bpn"))
+    den.init_alpha(np.zeros((8, desk.L * desk.field.q)), np.ones(8))
+    assert den._layout().parts == 1
+    paper_edges = 766 * 3
+    assert part_count(paper_edges * 256) == 2
+    cpus(4)
+    assert part_count(paper_edges * 256) == 4
+    assert part_count(2 * denoiser.MIN_PART - 1) == 1
+    assert part_count(3 * denoiser.MIN_PART) == 3
+    cpus(1)
+    assert part_count(paper_edges * 256) == 1
+
+
+@pytest.fixture()
+def split(cpus, monkeypatch):
+    """Every half-round of at least two entries runs as two parts."""
+    cpus(2)
+    monkeypatch.setattr(denoiser, "MIN_PART", 1)
+
+
+def _noisy_input(code, trials, seed):
+    q = code.field.q
+    r = np.random.default_rng(seed).standard_normal((trials, code.L * q))
+    r[:, ::q] += 1.0
+    return r, np.full(trials, 0.3)
+
+
+def test_split_rounds_leave_no_thread_behind(split):
+    """Each call joins its helper threads and gives every OpenBLAS back
+    its thread count before it returns."""
+    code = ORACLE_CODES["irregular"]()
+    getters = openblas_thread_getters()
+    blas_before = [get() for get in getters]
+    threads = threading.active_count()
+    den = BpDenoiser(code, Schedule("bpn"))
+    r, tau2 = _noisy_input(code, 3, 22)
+    den.denoise(r, tau2, t=3)
+    assert den._layout().parts == 2
+    assert threading.active_count() == threads
+    den.bp_round()
+    den.estimate()
+    assert threading.active_count() == threads
+    assert [get() for get in getters] == blas_before
+
+
+class PartError(Exception):
+    pass
+
+
+@pytest.mark.parametrize("where", ["helper", "caller"])
+def test_error_in_a_part_reaches_the_caller(split, monkeypatch, where):
+    """An exception raised in a part, on a helper thread or on the
+    calling thread, is raised by the call with its type, after every
+    helper thread has been joined."""
+    code = ORACLE_CODES["irregular"]()
+    den = BpDenoiser(code, Schedule("bpn"))
+    r, tau2 = _noisy_input(code, 1, 23)
+    den.denoise(r[0], tau2[0], t=0)
+    threads = threading.active_count()
+    normalize = denoiser._normalize_rows
+
+    def failing(mat):
+        on_helper = threading.current_thread() is not threading.main_thread()
+        if on_helper == (where == "helper"):
+            raise PartError(where)
+        return normalize(mat)
+
+    monkeypatch.setattr(denoiser, "_normalize_rows", failing)
+    for call in (den.bp_round, den.estimate):
+        with pytest.raises(PartError, match=where):
+            call()
+        assert threading.active_count() == threads

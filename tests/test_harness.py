@@ -1,4 +1,3 @@
-import ctypes
 import json
 import multiprocessing
 import os
@@ -10,7 +9,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from srldpc import harness
+from helpers import openblas_thread_getters
+from srldpc import denoiser, harness
 from srldpc.amp import tau2_floor_for
 from srldpc.codec import snr_to_sigma2
 from srldpc.denoiser import Schedule
@@ -284,32 +284,10 @@ def test_run_point_exits_with_batches_in_flight():
     assert proc.returncode == 0, proc.stderr
 
 
-def _openblas_thread_getters():
-    """The thread-count getter of each OpenBLAS loaded in this process."""
-    if not os.path.exists("/proc/self/maps"):
-        return []
-    with open("/proc/self/maps") as fh:
-        paths = {line.split(maxsplit=5)[-1].strip() for line in fh
-                 if "openblas" in line}
-    getters = []
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for name in ("scipy_openblas_get_num_threads64_",
-                     "scipy_openblas_get_num_threads",
-                     "openblas_get_num_threads64_",
-                     "openblas_get_num_threads"):
-            if hasattr(lib, name):
-                getter = getattr(lib, name)
-                getter.argtypes, getter.restype = [], ctypes.c_int
-                getters.append(getter)
-                break
-    return getters
-
-
 def test_workers_run_blas_on_one_thread(cpus, monkeypatch):
     """Each worker runs every OpenBLAS in the process on one thread, so
     the workers do not contend with each other's BLAS threads."""
-    getters = _openblas_thread_getters()
+    getters = openblas_thread_getters()
     if not getters:
         pytest.skip("no OpenBLAS with a known thread-count getter loaded")
     cpus(2)
@@ -319,6 +297,54 @@ def test_workers_run_blas_on_one_thread(cpus, monkeypatch):
     with harness._point_trials(SimConfig(**SMALL), None, None, 1.0, None,
                                0, 16) as counts:
         assert list(counts) == [[1] * len(getters)] * 2
+
+
+def test_workers_run_one_part(cpus, monkeypatch):
+    """Each forked worker runs every BP half-round as one part, where the
+    caller would split a half-round of the same size over its CPUs."""
+    cpus(2)
+    assert denoiser.part_count(10 ** 9) == 2
+    # each batch reports its worker's part count in place of trials
+    monkeypatch.setattr(harness, "decode_trials", lambda *args: [
+        denoiser.part_count(10 ** 9)])
+    with harness._point_trials(SimConfig(**SMALL), None, None, 1.0, None,
+                               0, 16) as counts:
+        assert list(counts) == [1, 1]
+    assert denoiser.part_count(10 ** 9) == 2
+
+
+AFTER_SPLIT = """
+import os
+os.sched_getaffinity = lambda pid: {{0, 1}}
+import numpy as np
+from srldpc import denoiser
+from srldpc.harness import SimConfig, build_experiment, run_point
+
+cfg = SimConfig(**{config!r})
+code = build_experiment(cfg)[1]
+denoiser.MIN_PART = 1
+den = denoiser.BpDenoiser(code, denoiser.Schedule("bpn"))
+den.denoise(np.ones(code.L * code.field.q), 0.5, t=3)
+assert den._layout().parts == 2
+print(run_point(cfg, 3.0).trials)
+"""
+
+
+def test_two_worker_point_after_a_split_denoise_finishes():
+    """Forking the workers of a point after this process has run split
+    half-rounds does not hang them: every helper thread was joined.
+    Run in a child process so that a hang fails the test."""
+    config = {**SMALL, "trials": 24, "target_errors": 100,
+              "ebno_db": (3.0,)}
+    src = str(Path(harness.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c",
+                           AFTER_SPLIT.format(config=config)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["24"]
 
 
 def test_matrix_for_per_trial_needs_trial():
