@@ -11,6 +11,7 @@ BLAS, or no /proc/self/maps) these calls do nothing.
 
 import ctypes
 import functools
+import threading
 from contextlib import contextmanager
 
 # OpenBLAS's thread-count functions under the prefixes and suffixes that
@@ -54,15 +55,30 @@ def set_threads(count):
         put(count)
 
 
+# How many one_thread() blocks are open, on any thread, and the thread
+# counts that the first of them saved.
+_lock = threading.Lock()
+_depth = 0
+_saved = []
+
+
 @contextmanager
 def one_thread():
     """Run every OpenBLAS on one thread inside the block, then give each
-    one back the thread count it had."""
-    libraries = _libraries()
-    before = [get() for get, _ in libraries]
-    set_threads(1)
+    one back the thread count it had.  Blocks may overlap on several
+    threads: the first to open saves the counts and the last to close
+    restores them, so OpenBLAS stays on one thread while any is open."""
+    global _depth, _saved
+    with _lock:
+        if _depth == 0:
+            _saved = [get() for get, _ in _libraries()]
+            set_threads(1)
+        _depth += 1
     try:
         yield
     finally:
-        for (_, put), count in zip(libraries, before):
-            put(count)
+        with _lock:
+            _depth -= 1
+            if _depth == 0:
+                for (_, put), count in zip(_libraries(), _saved):
+                    put(count)

@@ -21,11 +21,17 @@ the one the code gets alone.
 
 Psi has no closed form; it is estimated by Monte-Carlo on a log-spaced
 tau^2 grid, and the table keeps the running minimum of the estimates so
-that it is non-increasing whatever the sampling noise.  The library
-depends on numpy alone.
+that it is non-increasing whatever the sampling noise.  Each grid point
+draws its normals on a helper thread, one block of rows while the
+calling thread transforms the block before it, so drawing and
+transforming overlap on two CPUs; the blocks, drawn in order and summed
+once per chunk, give the table of a single-thread loop bit for bit, and
+the helper is joined before the point's estimate is returned.  The
+library depends on numpy alone.
 """
 
 import functools
+import threading
 import warnings
 from dataclasses import dataclass
 
@@ -81,28 +87,76 @@ class PsiTable:
 def _mc_alpha0_mean(q, tau2, samples, rng, chunk=1 << 18):
     """Monte-Carlo mean of alpha(0) for r = e_0 + tau * N(0, I_q).
 
-    Each chunk is drawn into one buffer and transformed in place; the
-    chunk size fixes the summation order.  The row maximum is taken by
-    halving the columns, exact because q is a power of two.
+    Each chunk is drawn into one buffer and transformed in place, in two
+    blocks of rows: a helper thread draws the normals of one block while
+    the calling thread transforms the other, so the draw (which releases
+    the GIL) runs beside the transform.  Drawing a chunk's blocks in
+    order gives the normals of one draw per chunk, every step of the
+    transform acts on each row alone, and each row's alpha(0) goes into
+    one ratio vector that is summed once per chunk, so the chunk size
+    still fixes the summation order.  The helper is joined before this
+    returns; an exception raised on either thread is raised here with
+    its type.  The row maximum is taken by halving the columns, exact
+    because q is a power of two.
     """
     tau = np.sqrt(tau2)
     total = 0.0
-    done = 0
     per_chunk = max(1, min(samples, chunk // q))
     buf = np.empty((per_chunk, q))
     half = np.empty((per_chunk, q // 2))
-    while done < samples:
-        k = min(per_chunk, samples - done)
-        x = buf[:k]
-        rng.standard_normal(out=x)
-        x *= tau
-        x[:, 0] += 1.0
-        x /= tau2
-        x -= _row_max(x, half[:k])
-        np.exp(x, out=x)
-        total += float((x[:, 0] / x.sum(axis=1)).sum())
-        done += k
+    ratio = np.empty(per_chunk)
+    # drawn[i] and free[i] pass block i from the helper to the caller and
+    # back; each side takes the blocks in the same order.
+    drawn = [threading.Semaphore(0), threading.Semaphore(0)]
+    free = [threading.Semaphore(1), threading.Semaphore(1)]
+    stop, errors = threading.Event(), []
+
+    def draw():
+        try:
+            for _, blocks in _chunks(samples, per_chunk):
+                for i, (lo, hi) in enumerate(blocks):
+                    free[i].acquire()
+                    if stop.is_set():
+                        return
+                    rng.standard_normal(out=buf[lo:hi])
+                    drawn[i].release()
+        except BaseException as exc:   # raised again by the caller
+            errors.append(exc)
+            for sem in drawn:
+                sem.release()
+
+    helper = threading.Thread(target=draw)
+    helper.start()
+    try:
+        for k, blocks in _chunks(samples, per_chunk):
+            for i, (lo, hi) in enumerate(blocks):
+                drawn[i].acquire()
+                if errors:
+                    raise errors[0]
+                x = buf[lo:hi]
+                x *= tau
+                x[:, 0] += 1.0
+                x /= tau2
+                x -= _row_max(x, half[lo:hi])
+                np.exp(x, out=x)
+                np.divide(x[:, 0], x.sum(axis=1), out=ratio[lo:hi])
+                free[i].release()
+            total += float(ratio[:k].sum())
+    finally:
+        stop.set()
+        for sem in free:
+            sem.release()
+        helper.join()
     return total / samples
+
+
+def _chunks(samples, per_chunk):
+    """Row count of each chunk of samples and its two blocks of rows,
+    as (lo, hi) ranges of the chunk buffer."""
+    mid = per_chunk - per_chunk // 2
+    for done in range(0, samples, per_chunk):
+        k = min(per_chunk, samples - done)
+        yield k, ((0, min(mid, k)), (min(mid, k), k))
 
 
 def _row_max(x, half):

@@ -1,7 +1,9 @@
+import threading
+
 import numpy as np
 import pytest
 
-from srldpc.codec import snr_to_sigma2
+from srldpc.codec import rng_stream, snr_to_sigma2
 from srldpc.denoiser import Schedule
 from srldpc.gf import GF2m
 from srldpc.ldpc import build_code
@@ -119,6 +121,78 @@ def test_mc_alpha0_mean_matches_reference_bitwise(q, chunk):
         want = reference_mc_alpha0_mean(
             q, tau2, 10_000, np.random.default_rng(q), chunk)
         assert got == want
+
+
+@pytest.mark.parametrize("q, chunk, samples", [
+    (16, 16 * 7, 10_000),    # odd blocks; the last chunk fills one block
+    (16, 16, 1_000),         # one row per chunk, the second block empty
+])
+def test_mc_alpha0_mean_uneven_blocks_match_reference(q, chunk, samples):
+    """Chunks of an odd row count, of one row, and a short last chunk
+    that leaves the second block empty give the reference mean bit for
+    bit."""
+    got = state_evolution._mc_alpha0_mean(
+        q, 0.3, samples, np.random.default_rng(q), chunk)
+    want = reference_mc_alpha0_mean(
+        q, 0.3, samples, np.random.default_rng(q), chunk)
+    assert got == want
+
+
+@pytest.mark.parametrize("q", [16, 256])
+def test_build_psi_matches_reference_table_bitwise(q):
+    """The whole table is the running minimum of the reference estimates
+    over PSI_GRID, drawn in order from one stream, bit for bit."""
+    lo, hi, points = state_evolution.PSI_GRID
+    grid = np.logspace(np.log10(lo), np.log10(hi), int(points))
+    rng = rng_stream(0, 100, 0)
+    raw = [reference_mc_alpha0_mean(q, t2, 10_000, rng) for t2 in grid]
+    psi = build_psi(q, samples=10_000)
+    assert np.array_equal(psi.tau2_grid, grid)
+    assert np.array_equal(psi.values, np.minimum.accumulate(raw))
+
+
+class DrawError(Exception):
+    pass
+
+
+class FailingRng:
+    """Draws from a numpy Generator, and raises on the third draw."""
+
+    def __init__(self):
+        self.rng = np.random.default_rng(5)
+        self.calls = 0
+
+    def standard_normal(self, **kwargs):
+        self.calls += 1
+        if self.calls == 3:
+            raise DrawError("helper")
+        return self.rng.standard_normal(**kwargs)
+
+
+@pytest.mark.parametrize("where", ["helper", "caller"])
+def test_mc_error_reaches_the_caller(monkeypatch, where):
+    """An exception raised while drawing (on the helper thread) or while
+    transforming (on the calling thread) is raised by the call with its
+    type, after the helper thread has been joined."""
+    def failing(x, half):
+        raise DrawError("caller")
+
+    threads = threading.active_count()
+    if where == "helper":
+        rng = FailingRng()
+    else:
+        rng = np.random.default_rng(5)
+        monkeypatch.setattr(state_evolution, "_row_max", failing)
+    with pytest.raises(DrawError, match=where):
+        state_evolution._mc_alpha0_mean(16, 0.3, 10_000, rng, 1 << 12)
+    assert threading.active_count() == threads
+
+
+def test_mc_alpha0_mean_leaves_no_thread_behind():
+    threads = threading.active_count()
+    state_evolution._mc_alpha0_mean(16, 0.3, 10_000,
+                                    np.random.default_rng(5), 1 << 12)
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("q", [2, 4, 16, 256])
