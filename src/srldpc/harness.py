@@ -32,9 +32,9 @@ count.  run_point stops at the exact trial that reaches target_errors;
 the workers are then killed and joined, whatever they still decode,
 before it returns.  Each worker runs OpenBLAS and the BP denoiser on
 one thread, and a worker that exits without a result is a
-RuntimeError, not a wait that never ends.  At the desk waterfall point
-this decodes about 85 trials/s under bpn and 116 under bp0 on two
-workers (medians of ten runs in BENCH_20.json).
+RuntimeError, not a wait that never ends.  The trials/s this reaches
+at the desk waterfall point on two workers are measured by
+`python3 perfbench/run.py` and recorded in the BENCH_*.json files.
 """
 
 import json

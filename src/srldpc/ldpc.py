@@ -148,6 +148,8 @@ def peg_construct(field, L, P, dv):
                 reach = 0
                 for p in _bits(layer):
                     reach |= chk_nbrs[p]
+                    if reach | seen == every:
+                        break    # the rest cannot change reach & ~seen
                 reach &= ~seen
                 if not reach:
                     break

@@ -19,6 +19,14 @@ update sums only its own sections, so every product and sum keeps the
 association it has for one code alone and each trajectory is bitwise
 the one the code gets alone.
 
+Each modeled AMP iteration runs its BP rounds from uninformative
+messages.  Those rounds depend only on tau^2 and their count, so when
+an iteration's tau^2 equals the previous one's bit for bit (as it does
+once the recursion has settled) and it runs at least as many rounds,
+its first rounds would repeat the previous iteration's exactly; the
+recursion keeps the previous messages and runs only the extra rounds,
+and every trace stays bitwise the one a reset gives.
+
 Psi has no closed form; it is estimated by Monte-Carlo on a log-spaced
 tau^2 grid, and the table keeps the running minimum of the estimates so
 that it is non-increasing whatever the sampling noise.  Each grid point
@@ -205,8 +213,8 @@ def approximate_se(code, n, sigma2, T, schedule, psi=None):
     """Run the scalar recursion for T AMP iterations: approximate_se_batch
     on one code.
 
-    Graph messages reset to uninformative at the start of every modeled
-    AMP iteration (the keep-graph schedule has no scalar model; its
+    Every modeled AMP iteration runs its rounds as from uninformative
+    graph messages (the keep-graph schedule has no scalar model; its
     round count is still honored).  A Psi table built for another field
     size is an error.
     """
@@ -222,7 +230,25 @@ def approximate_se_batch(codes, n, sigma2s, T, schedule, psi=None):
     association it has for one code alone (each tau^2 update sums its
     own code's section MSEs), so each trace is bitwise the one the code
     gets alone.  The codes must share one field.
+
+    An iteration whose tau^2 vector equals the previous iteration's bit
+    for bit, and whose round count is no smaller, continues from the
+    previous iteration's messages for only the extra rounds: from the
+    uninformative start, its first rounds would give those messages
+    again.  Otherwise the messages reset to 1/q.  sigma2s needs one
+    finite, positive value per code, n at least 1 and T at least 0.
     """
+    sigma2 = np.asarray(sigma2s, dtype=np.float64)
+    if sigma2.shape != (len(codes),):
+        raise ValueError(f"sigma2s holds {sigma2.size} values for "
+                         f"{len(codes)} codes")
+    if not np.all(np.isfinite(sigma2) & (sigma2 > 0)):
+        raise ValueError(f"sigma2 must be finite and positive, got "
+                         f"{sigma2.tolist()}")
+    if not n >= 1:
+        raise ValueError(f"n must be at least 1, got {n}")
+    if T < 0:
+        raise ValueError(f"T must be non-negative, got {T}")
     if not codes:
         return []
     q = codes[0].field.q
@@ -234,17 +260,20 @@ def approximate_se_batch(codes, n, sigma2s, T, schedule, psi=None):
         raise ValueError(f"Psi table is for q={psi.q}, the code is over "
                          f"GF({q})")
     graph = _SeGraph(codes)
-    sigma2 = np.asarray(sigma2s, dtype=np.float64)
 
     tau2 = sigma2 + graph.L / n
     trace = [tau2]
     c2v_l2 = np.full(graph.n_edges, 1.0 / q)
     section_mse = np.full(graph.n_vars, 1.0 - 1.0 / q)
 
+    done, prev_tau2 = 0, None   # rounds behind c2v_l2, run at prev_tau2
     for t in range(T):
-        c2v_l2 = np.full(graph.n_edges, 1.0 / q)
+        rounds = schedule.rounds(t)
+        if not (rounds >= done and np.array_equal(tau2, prev_tau2)):
+            c2v_l2 = np.full(graph.n_edges, 1.0 / q)
+            done = 0
         if graph.n_edges:
-            for _ in range(schedule.rounds(t)):
+            for _ in range(rounds - done):
                 v2c_l2 = graph.variable_round(psi, tau2, c2v_l2)
                 c2v_l2 = graph.check_round(v2c_l2)
         # Output: combine the AMP observation with all check neighbors.
@@ -253,6 +282,7 @@ def approximate_se_batch(codes, n, sigma2s, T, schedule, psi=None):
         section_mse = 1.0 - np.asarray(psi.value(tau2_out))
         mse_sums = np.array([section_mse[code_vars].sum()
                              for code_vars in graph.var_slices])
+        done, prev_tau2 = rounds, tau2
         tau2 = sigma2 + mse_sums / n
         trace.append(tau2)
 

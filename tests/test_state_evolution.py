@@ -452,6 +452,104 @@ def test_batch_edge_cases(psi16, psi8):
     assert np.all(tr.edge_mse == 1 - 1 / 16)
 
 
+@pytest.mark.parametrize("sigma2s", [[0.04], [0.04, 0.04, 0.04]])
+def test_batch_rejects_one_sigma2_per_code_mismatch(psi16, sigma2s):
+    codes = [build_code(GF2m(4), L, 8, 3, seed=5)[0] for L in (128, 136)]
+    with pytest.raises(ValueError, match="sigma2s holds"):
+        approximate_se_batch(codes, 600, sigma2s, 5, Schedule("bpn"),
+                             psi=psi16)
+
+
+@pytest.mark.parametrize("n", [-5, 0])
+def test_se_rejects_n_below_one(psi16, n):
+    code, _ = build_code(GF2m(4), 128, 8, 3, seed=5)
+    with pytest.raises(ValueError, match="n must be at least 1"):
+        approximate_se(code, n, 0.04, 5, Schedule("bpn"), psi=psi16)
+
+
+def test_se_rejects_negative_T(psi16):
+    code, _ = build_code(GF2m(4), 128, 8, 3, seed=5)
+    with pytest.raises(ValueError, match="T must be non-negative"):
+        approximate_se(code, 600, 0.04, -3, Schedule("bpn"), psi=psi16)
+
+
+@pytest.mark.parametrize("sigma2", [np.nan, -0.1, 0.0, np.inf])
+def test_se_rejects_sigma2_not_finite_and_positive(psi16, sigma2):
+    code, _ = build_code(GF2m(4), 128, 8, 3, seed=5)
+    with pytest.raises(ValueError, match="sigma2 must be finite and "
+                                         "positive"):
+        approximate_se(code, 600, sigma2, 5, Schedule("bpn"), psi=psi16)
+
+
+def _count_variable_rounds(monkeypatch):
+    """Patch _SeGraph.variable_round to count its calls; returns the
+    one-element list that holds the count."""
+    calls = [0]
+    variable_round = _SeGraph.variable_round
+
+    def counted(self, *args):
+        calls[0] += 1
+        return variable_round(self, *args)
+
+    monkeypatch.setattr(_SeGraph, "variable_round", counted)
+    return calls
+
+
+def _rounds_with_reuse(traces, T, schedule):
+    """BP rounds the recursion runs for these traces: rounds(t) -
+    rounds(t - 1) at an iteration whose tau^2 equals the previous
+    iteration's bit for bit in every code, rounds(t) elsewhere."""
+    tau2 = np.stack([tr.tau2 for tr in traces])
+    total = 0
+    for t in range(T):
+        if t and np.array_equal(tau2[:, t], tau2[:, t - 1]):
+            total += schedule.rounds(t) - schedule.rounds(t - 1)
+        else:
+            total += schedule.rounds(t)
+    return total
+
+
+@pytest.mark.parametrize("schedule, ebno_db, rounds", [
+    ("bpn", 4.25, 53), ("bpn", 3.0, 325), ("bp1kg", 4.75, 14)])
+def test_se_reuses_rounds_once_tau2_is_stationary(
+        monkeypatch, psi16, schedule, ebno_db, rounds):
+    """Once tau^2 repeats bit for bit, an iteration runs only the rounds
+    the previous one did not: a converged desk trajectory runs 53 of the
+    325 rounds, one below threshold (3.0 dB) never repeats and runs all
+    325, and bp1kg runs none at its stationary iterations.  The traces
+    stay bitwise the reference's, which resets every iteration."""
+    code, _ = build_code(GF2m(4), 128, 8, 3, seed=5)
+    sigma2 = snr_to_sigma2(ebno_db, 480, 128)
+    calls = _count_variable_rounds(monkeypatch)
+    tr = approximate_se(code, 600, sigma2, 25, Schedule(schedule),
+                        psi=psi16)
+    assert calls[0] == _rounds_with_reuse([tr], 25, Schedule(schedule))
+    assert calls[0] == rounds
+    tau2, edge_mse, section_mse, converged = reference_approximate_se(
+        code, 600, sigma2, 25, Schedule(schedule), psi16)
+    assert np.array_equal(tr.tau2, tau2)
+    assert np.array_equal(tr.edge_mse, edge_mse)
+    assert np.array_equal(tr.section_mse, section_mse)
+    assert tr.converged == converged
+
+
+def test_batch_reuses_rounds_only_when_every_code_repeats(monkeypatch,
+                                                          psi16):
+    """A batch reuses the previous iteration's messages only when every
+    code's tau^2 repeats: with a below-threshold code in the batch, the
+    converged one's rounds are all run again."""
+    codes = [build_code(GF2m(4), 128, 8, 3, seed=5)[0]] * 2
+    sigma2s = [snr_to_sigma2(e, 480, 128) for e in (4.25, 3.0)]
+    calls = _count_variable_rounds(monkeypatch)
+    traces = approximate_se_batch(codes, 600, sigma2s, 25, Schedule("bpn"),
+                                  psi=psi16)
+    assert calls[0] == _rounds_with_reuse(traces, 25, Schedule("bpn")) == 325
+    calls[0] = 0
+    traces = approximate_se_batch(codes, 600, sigma2s[:1] * 2, 25,
+                                  Schedule("bpn"), psi=psi16)
+    assert calls[0] == _rounds_with_reuse(traces, 25, Schedule("bpn")) == 53
+
+
 def test_tune_rate_matches_single_code_runs(psi16):
     """The batched rate sweep gives each candidate the residual of its
     own approximate_se run, bit for bit."""
