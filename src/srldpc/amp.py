@@ -15,10 +15,15 @@ BP computation trees stay cycle-free; it vanishes exactly when the
 denoiser output is one-hot.
 
 decode_batch runs K trials in lockstep through one AMP loop and one
-BpDenoiser: the AMP state holds one row per trial, A s and A^T z stay
-one float32 matrix-vector product per trial, and the denoiser runs each
-BP round once for the whole batch.  Every trial keeps its own tau^2,
-Onsager carry, termination reason, final-BP tail and denoiser counters.
+BpDenoiser: the AMP state holds one row per trial, and the denoiser runs
+each BP round once for the whole batch.  The trials that share a design
+matrix (all of them under a fixed matrix, each alone under per-trial
+matrices) take A s and A^T z as one stacked DesignMatrix call each:
+A s walks A in cache-sized row blocks, finishing every trial's product
+on a block before the next, and A^T z runs one whole-matrix product per
+trial.  Both give each row bitwise the product of that trial alone.
+Every trial keeps its own tau^2, Onsager carry, termination reason,
+final-BP tail and denoiser counters.
 Each AMP iteration and each final-BP round makes one stop decision: one
 syndrome_check of the (trials, L) symbol stack masks the trials that
 stop there, which are recorded and compacted out of the batch together.
@@ -99,15 +104,32 @@ def initial_state(Y, n_cols):
     )
 
 
+def _matrix_groups(As):
+    """(A, positions) for each distinct design matrix in As, with the
+    positions of the trials that share it, in order of first use."""
+    groups = {}
+    for k, A in enumerate(As):
+        groups.setdefault(id(A), (A, []))[1].append(k)
+    return list(groups.values())
+
+
 def amp_step(state, Y, As, den, tau2_floor=1e-12):
     """Advance the recursion by one iteration for every trial: row k of
-    Y is observed through As[k]; den denoises all rows at once."""
+    Y is observed through As[k]; den denoises all rows at once.  The
+    trials that share a matrix take one stacked A s and one stacked
+    A^T z."""
     n = As[0].n
-    z = np.stack([
-        y - A.matvec(s) for y, A, s in zip(Y, As, state.s_hat)
-    ]) + onsager(state.z, state.carry_l1, state.carry_l2sq, state.tau2, n)
+    groups = _matrix_groups(As)
+    A_s = np.empty_like(state.z)
+    for A, rows in groups:
+        A_s[rows] = A.matvec(state.s_hat[rows])
+    z = (Y - A_s) + onsager(state.z, state.carry_l1, state.carry_l2sq,
+                               state.tau2, n)
     tau2 = np.array([estimate_tau2(row, n, tau2_floor) for row in z])
-    r = np.stack([A.rmatvec(row) for A, row in zip(As, z)]) + state.s_hat
+    r = np.empty_like(state.s_hat)
+    for A, rows in groups:
+        r[rows] = A.rmatvec(z[rows])
+    r += state.s_hat
     s_hat = den.denoise(r, tau2, state.t)
     l1, l2sq = divergence_terms(s_hat)
     return AmpState(
@@ -144,6 +166,17 @@ def decode_batch(Y, As, code, encoder, params):
     q = code.field.q
     Y = np.asarray(Y, dtype=np.float64)
     As = list(As)
+    if Y.ndim != 2 or not len(Y):
+        raise ValueError(f"Y must be a (trials, n) stack with at least one "
+                         f"trial, got shape {Y.shape}")
+    if len(As) != len(Y):
+        raise ValueError(f"As must hold one design matrix per row of Y: "
+                         f"{len(As)} for {len(Y)} rows")
+    for k, A in enumerate(As):
+        if (A.n, A.n_cols) != (Y.shape[1], q * code.L):
+            raise ValueError(
+                f"As[{k}] is {A.n} x {A.n_cols}, but Y has rows of length "
+                f"{Y.shape[1]} and the code needs {q * code.L} columns")
     den = BpDenoiser(code, params.schedule)
     state = initial_state(Y, As[0].n_cols)
     results = [None] * len(Y)

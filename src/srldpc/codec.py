@@ -9,12 +9,15 @@ matrix, labels, noise, and trials are independently reproducible.
 
 import numpy as np
 
+from . import blas
+
 STREAM_MATRIX = 0
 STREAM_LABELS = 1
 STREAM_NOISE = 2
 STREAM_BITS = 3
 
 COLUMN_BLOCK = 256    # columns DesignMatrix draws before writing them out
+ROW_BLOCK_BYTES = 1 << 20   # about the bytes of A per matvec row block
 
 # numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx)
 _INIT_A, _MULT_A = 0x43b0d7e5, 0x931e8875
@@ -101,6 +104,22 @@ class DesignMatrix:
     at counter 0 for each column, so column j is exactly what
     rng_stream(seed, STREAM_MATRIX, j) draws.  Storage is float32,
     row-major; products are returned in float64.
+
+    matvec and rmatvec take one vector or a (K, ...) stack of them and
+    run float32 matrix-vector products (gemv), one per vector and row
+    block, so row k of a stacked product is bitwise the product of
+    vector k alone.  matvec walks A in row blocks of about
+    ROW_BLOCK_BYTES (a multiple of 64 rows, 128 rows at the desk's 2048
+    columns) and finishes all K gemvs on a block before the next, so a
+    stack reads A from memory once instead of K times.  Each output row
+    is still one dot product of the same OpenBLAS kernel: blocks of a
+    multiple of 64 rows give the whole-matrix gemv's bits, while blocks
+    of other sizes (120 rows, say) round some rows differently.
+    rmatvec runs one whole-matrix gemv per vector: column blocks of
+    A^T z measured slower.  Every product runs OpenBLAS on one thread,
+    since a threaded gemv splits the rows at other points and rounds
+    some differently, so a seeded decode gives the same bits inline and
+    in a forked worker.
     """
 
     def __init__(self, n, n_cols, seed):
@@ -132,18 +151,38 @@ class DesignMatrix:
             self._A[:, start:stop] = block[:stop - start].T
 
     def matvec(self, s):
-        """A @ s for a length-n_cols vector."""
-        s = np.asarray(s, dtype=np.float64)
-        if s.shape != (self.n_cols,):
-            raise ValueError(f"expected length-{self.n_cols} vector")
-        return (self._A @ s.astype(np.float32)).astype(np.float64)
+        """A @ s for a length-n_cols vector, or row by row for a
+        (K, n_cols) stack."""
+        S = _stack(s, self.n_cols, "s")
+        out = np.empty((len(S), self.n), dtype=np.float32)
+        # about ROW_BLOCK_BYTES of A: a multiple of 64 rows, at least 64
+        step = max(1, ROW_BLOCK_BYTES // (4 * 64 * self.n_cols)) * 64
+        with blas.one_thread():
+            for start in range(0, self.n, step):
+                block = self._A[start:start + step]
+                for s32, row in zip(S, out):
+                    np.matmul(block, s32, out=row[start:start + step])
+        return out.astype(np.float64).reshape(np.shape(s)[:-1] + (self.n,))
 
     def rmatvec(self, z):
-        """A^T @ z for a length-n vector."""
-        z = np.asarray(z, dtype=np.float64)
-        if z.shape != (self.n,):
-            raise ValueError(f"expected length-{self.n} vector")
-        return (self._A.T @ z.astype(np.float32)).astype(np.float64)
+        """A^T @ z for a length-n vector, or row by row for a (K, n)
+        stack."""
+        Z = _stack(z, self.n, "z")
+        out = np.empty((len(Z), self.n_cols), dtype=np.float32)
+        with blas.one_thread():
+            for z32, row in zip(Z, out):
+                np.matmul(self._A.T, z32, out=row)
+        return out.astype(np.float64).reshape(np.shape(z)[:-1]
+                                              + (self.n_cols,))
+
+
+def _stack(v, length, name):
+    """A vector or (K, length) stack as a (K, length) float32 array."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim not in (1, 2) or v.shape[-1] != length:
+        raise ValueError(f"expected {name} of length {length} or a "
+                         f"(K, {length}) stack, got shape {v.shape}")
+    return v.reshape(-1, length).astype(np.float32)
 
 
 def awgn(x, sigma2, rng):

@@ -8,6 +8,8 @@ arithmetic in the field.  Edges are kept in arrays sorted by
 this ordering is part of the code object.
 """
 
+import copy
+import functools
 import math
 
 import numpy as np
@@ -32,7 +34,8 @@ class LdpcCode:
         L, P: variable / check node counts
         edge_var, edge_chk, edge_label: per-edge arrays, sorted by
             (check index, slot); labels are nonzero field elements
-        var_edges, chk_edges: adjacency as lists of edge-id arrays
+        var_edges, chk_edges: adjacency as lists of edge-id arrays,
+            built on first read
         girth: length of the shortest cycle (math.inf when acyclic)
     """
 
@@ -48,11 +51,6 @@ class LdpcCode:
         self.n_edges = len(self.edge_var)
 
         self._validate()
-        # Edges are sorted by check, so each check's edges are a run of
-        # ids; a stable sort by variable keeps ids ascending per variable.
-        self.var_edges = _split(np.argsort(self.edge_var, kind="stable"),
-                                self.var_degrees())
-        self.chk_edges = _split(np.arange(self.n_edges), self.chk_degrees())
         self.girth = compute_girth(self) if girth is None else girth
 
     def _validate(self):
@@ -63,11 +61,26 @@ class LdpcCode:
             or self.edge_chk.max() >= self.P
         ):
             raise ValueError("edge endpoint out of range")
-        if np.any(self.edge_label < 1) or np.any(self.edge_label >= self.field.q):
-            raise ValueError("edge labels must be nonzero field elements")
-        pairs = set(zip(self.edge_var.tolist(), self.edge_chk.tolist()))
-        if len(pairs) != self.n_edges:
+        self._check_labels(self.edge_label)
+        # sorted by (check, variable), parallel edges are neighbours
+        if np.any((self.edge_chk[1:] == self.edge_chk[:-1])
+                  & (self.edge_var[1:] == self.edge_var[:-1])):
             raise ValueError("parallel edges are not allowed")
+
+    def _check_labels(self, labels):
+        if np.any(labels < 1) or np.any(labels >= self.field.q):
+            raise ValueError("edge labels must be nonzero field elements")
+
+    @functools.cached_property
+    def var_edges(self):
+        # A stable sort by variable keeps ids ascending per variable.
+        return _split(np.argsort(self.edge_var, kind="stable"),
+                      self.var_degrees())
+
+    @functools.cached_property
+    def chk_edges(self):
+        # Edges are sorted by check, so each check's edges are a run of ids.
+        return _split(np.arange(self.n_edges), self.chk_degrees())
 
     def var_degrees(self):
         return np.bincount(self.edge_var, minlength=self.L)
@@ -82,25 +95,23 @@ class LdpcCode:
         return H
 
     def with_labels(self, labels):
-        """Copy of this graph with replaced edge labels."""
-        return LdpcCode(
-            self.field, self.L, self.P,
-            self.edge_var, self.edge_chk, labels, girth=self.girth,
-        )
+        """Copy of this graph with replaced edge labels, one per edge in
+        edge order.  The copy shares the graph's edge arrays; only the
+        labels are checked, since the graph already was."""
+        labels = np.asarray(labels, dtype=np.int64)
+        if labels.shape != (self.n_edges,):
+            raise ValueError(f"expected {self.n_edges} edge labels, got "
+                             f"shape {labels.shape}")
+        self._check_labels(labels)
+        code = copy.copy(self)
+        code.edge_label = labels
+        return code
 
 
 def _split(edge_ids, counts):
     """Consecutive runs of edge_ids with the given lengths, as views."""
     ends = np.cumsum(counts).tolist()
     return [edge_ids[end - n:end] for n, end in zip(counts.tolist(), ends)]
-
-
-def _bits(mask):
-    """Indices of the set bits of an int, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def check_peg_profile(L, P, dv):
@@ -125,15 +136,18 @@ def peg_construct(field, L, P, dv):
     The search runs on the check graph, where two checks are adjacent
     when they share a variable: the BFS from variable v starts at v's
     checks (depth 0), and a layer is the union of its checks' neighbour
-    sets, each kept as an int bitmask over the P checks.  An edge to a
-    check at depth d closes a shortest cycle of length 2d + 2, and every
-    cycle is closed by its last edge, so the girth is the least such
-    length over the construction.
+    sets, each kept as an int bitmask over the P checks and looked up by
+    the check's own bit, so the BFS walks a layer's set bits without
+    turning them into indices.  An edge to a check at depth d closes a
+    shortest cycle of length 2d + 2, and every cycle is closed by its
+    last edge, so the girth is the least such length over the
+    construction.
     """
     check_peg_profile(L, P, dv)
 
     every = (1 << P) - 1
-    chk_nbrs = [0] * P     # checks sharing a variable with each check
+    # checks sharing a variable with each check, keyed by the check's bit
+    nbrs = {1 << p: 0 for p in range(P)}
     by_deg = [every, 0]    # by_deg[d]: the checks of degree d
     low_deg = 0            # the lowest degree of any check
     edge_chk = []
@@ -146,10 +160,13 @@ def peg_construct(field, L, P, dv):
             depth = 0
             while seen != every:
                 reach = 0
-                for p in _bits(layer):
-                    reach |= chk_nbrs[p]
+                rest = layer
+                while rest:
+                    low = rest & -rest
+                    reach |= nbrs[low]
                     if reach | seen == every:
                         break    # the rest cannot change reach & ~seen
+                    rest ^= low
                 reach &= ~seen
                 if not reach:
                     break
@@ -176,9 +193,12 @@ def peg_construct(field, L, P, dv):
             while not by_deg[low_deg]:
                 low_deg += 1
 
-            for p in _bits(own):
-                chk_nbrs[p] |= bit
-            chk_nbrs[c] |= own
+            rest = own
+            while rest:
+                low = rest & -rest
+                nbrs[low] |= bit
+                rest ^= low
+            nbrs[bit] |= own
             own |= bit
             edge_chk.append(c)
 
@@ -272,10 +292,12 @@ class Encoder:
             rr = r + nz[0]
             if rr != r:
                 H[[r, rr]] = H[[rr, r]]
-            H[r] = mul[H[r], self.field.inv(H[r, c])]
+            # Row r is zero left of c (every row from r on is), so the
+            # columns before c stay as they are.
+            H[r, c:] = mul[H[r, c:], self.field.inv(H[r, c])]
             factors = H[:, c].copy()
             factors[r] = 0
-            H ^= mul[factors[:, None], H[r][None, :]]
+            H[:, c:] ^= mul[factors[:, None], H[r, c:][None, :]]
             piv_cols.append(c)
             r += 1
         if r < P:

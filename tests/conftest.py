@@ -9,6 +9,7 @@ already on PATH (installed environments) are used unchanged.
 
 The cpus fixture sets the CPU count of the affinity mask that harness
 reads, and with it the number of workers that decode a point's batches.
+The getters fixture runs every OpenBLAS on two threads for a test.
 """
 
 import os
@@ -27,6 +28,8 @@ except ImportError:  # Python 3.10
         tomllib = None
 
 import srldpc
+from helpers import openblas_thread_getters
+from srldpc import blas
 
 PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
@@ -73,3 +76,18 @@ def cpus(monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity",
                             lambda pid: set(range(count)), raising=False)
     return force
+
+
+@pytest.fixture()
+def getters():
+    """The OpenBLAS thread-count getters, with every OpenBLAS on two
+    threads for the test and on its own count again after it."""
+    getters = openblas_thread_getters()
+    if not getters:
+        pytest.skip("no OpenBLAS with a known thread-count getter loaded")
+    original = [get() for get in getters]
+    blas.set_threads(2)
+    assert [get() for get in getters] == [2] * len(getters)
+    yield getters
+    for (_, put), count in zip(blas._libraries(), original):
+        put(count)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from srldpc import amp, harness
+from srldpc import amp, codec, harness
 from srldpc.amp import (
     AmpState, DecoderParams, amp_step, decode, decode_batch, estimate_tau2,
     initial_state, onsager, tau2_floor_for,
@@ -361,3 +361,77 @@ def test_decode_batch_non_finite_row_aborts_alone():
     assert aborted == [k == 3 for k in range(8)]
     for y, got in zip(Y, batched):
         _assert_same_result(got, decode(y, A, code, enc, params))
+
+
+@pytest.mark.parametrize("schedule", ["bpn", "bp0"])
+def test_decode_batch_equals_decode_bitwise_in_64_row_blocks(schedule,
+                                                             monkeypatch):
+    """The batched-equals-alone check with A s walked in 64-row blocks
+    (nine and a partial one at n=600), whose results also equal those
+    of the default 128-row blocks."""
+    code, enc, A, params, Y = _desk_trials(schedule)
+    default = decode_batch(Y[24:32], [A] * 8, code, enc, params)
+    monkeypatch.setattr(codec, "ROW_BLOCK_BYTES", 4 * 64 * A.n_cols)
+    test_decode_batch_equals_decode_bitwise(schedule, {})
+    for got, want in zip(decode_batch(Y[24:32], [A] * 8, code, enc, params),
+                         default):
+        _assert_same_result(got, want)
+
+
+def test_decode_batch_distinct_matrices_equals_decode_bitwise(monkeypatch):
+    """Under per-trial matrices each trial holds its own design matrix;
+    trials that share one take one stacked product per AMP step for the
+    group, and every trial gets its result decoded alone."""
+    cfg = harness.SimConfig(schedule="bpn", seed=2, trials=8,
+                            matrix_policy="per_trial", ebno_db=(4.25,))
+    _, code, enc = harness.build_experiment(cfg)
+    sigma2 = harness._sigma2(cfg, 4.25)
+    params = harness.decoder_params(cfg, tau2_floor_for(sigma2))
+    own = [harness.design_matrix(cfg, 0, t) for t in range(3)]
+    As = [own[0], own[1], own[0], own[2], own[1], own[0]]
+    Y = np.stack([harness.trial_observation(cfg, enc, A, sigma2, 0, t)[2]
+                  for t, A in enumerate(As)])
+    stacks = []
+    matvec = DesignMatrix.matvec
+
+    def counting(self, s):
+        stacks.append((own.index(self), len(s)))
+        return matvec(self, s)
+
+    monkeypatch.setattr(DesignMatrix, "matvec", counting)
+    batched = decode_batch(Y, As, code, enc, params)
+    assert stacks[:3] == [(0, 3), (1, 2), (2, 1)]
+    monkeypatch.undo()
+    for y, A, got in zip(Y, As, batched):
+        _assert_same_result(got, decode(y, A, code, enc, params))
+
+
+@pytest.fixture(scope="module")
+def bad_batches():
+    """Malformed (Y, As) batches of the desk trials, by case, with the
+    start of the message each raises."""
+    code, enc, A, params, Y = _desk_trials("bp0", trials=8)
+    other = DesignMatrix(A.n, A.n_cols, seed=9)
+    narrow = DesignMatrix(A.n - 1, A.n_cols, seed=9)
+    cases = {
+        "1-D y": (Y[0], [A], "^Y must"),
+        "too few matrices": (Y[:3], [A, other], "^As must"),
+        "too many matrices": (Y[:3], [A, other, A, other], "^As must"),
+        "empty batch": (Y[:0], [], "^Y must"),
+        "Y narrower than A.n": (Y[:2, :-1], [A, A], r"^As\[0\] is"),
+        "matrices of two heights": (Y[:2, :-1], [narrow, A],
+                                    r"^As\[1\] is"),
+    }
+    return code, enc, params, cases
+
+
+@pytest.mark.parametrize("case", [
+    "1-D y", "too few matrices", "too many matrices", "empty batch",
+    "Y narrower than A.n", "matrices of two heights",
+])
+def test_decode_batch_rejects_bad_input(bad_batches, case):
+    """A malformed batch is a ValueError that names the argument."""
+    code, enc, params, cases = bad_batches
+    Y, As, message = cases[case]
+    with pytest.raises(ValueError, match=message):
+        decode_batch(Y, As, code, enc, params)

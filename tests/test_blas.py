@@ -1,25 +1,7 @@
 import sys
 import threading
 
-import pytest
-
-from helpers import openblas_thread_getters
 from srldpc import blas
-
-
-@pytest.fixture()
-def getters():
-    """The OpenBLAS thread-count getters, with every OpenBLAS on two
-    threads for the test and on its own count again after it."""
-    getters = openblas_thread_getters()
-    if not getters:
-        pytest.skip("no OpenBLAS with a known thread-count getter loaded")
-    original = [get() for get in getters]
-    blas.set_threads(2)
-    assert [get() for get in getters] == [2] * len(getters)
-    yield getters
-    for (_, put), count in zip(blas._libraries(), original):
-        put(count)
 
 
 def test_overlapping_blocks_restore_the_first_counts(getters):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from srldpc import blas, codec
 from srldpc.codec import (
     COLUMN_BLOCK, DesignMatrix, _column_keys, awgn, hard_decision,
     index_codeword, rng_stream, snr_to_sigma2, STREAM_BITS, STREAM_MATRIX,
@@ -180,6 +181,100 @@ def test_matvec_shape_checks(desk):
         A.matvec(np.zeros(3))
     with pytest.raises(ValueError):
         A.rmatvec(np.zeros(3))
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (2, 2, None), ()])
+def test_stacked_matvec_shape_checks(desk, shape):
+    """Neither product takes a stack of more than two dimensions, a
+    scalar or vectors of the wrong length."""
+    _, _, _, A = desk
+    for product, name, length in ((A.matvec, "s", A.n_cols),
+                                  (A.rmatvec, "z", A.n)):
+        bad = tuple(length if d is None else d for d in shape)
+        with pytest.raises(ValueError, match=f"expected {name} "):
+            product(np.zeros(bad))
+
+
+@pytest.fixture(scope="module")
+def matrices():
+    """A desk-width design matrix for each row count n."""
+    return {n: DesignMatrix(n, 2048, seed=n)
+            for n in (127, 165, 600, 601, 603)}
+
+
+def _full_gemvs(M, V):
+    """One whole-matrix float32 gemv per row of V, on one OpenBLAS
+    thread, returned in float64."""
+    with blas.one_thread():
+        return np.stack([M @ v.astype(np.float32) for v in V]
+                        ).astype(np.float64)
+
+
+@pytest.mark.parametrize("budget", ["default", "64 rows"])
+@pytest.mark.parametrize("n", [127, 165, 600, 601, 603])
+@pytest.mark.parametrize("K", [1, 2, 8])
+def test_stacked_matvec_equals_full_gemvs_bitwise(matrices, monkeypatch,
+                                                  budget, n, K):
+    """Row k of A s for a (K, n_cols) stack is bitwise the whole-matrix
+    gemv of s[k].  With a 64-row budget the product walks several
+    64-row blocks and a partial one at every n here; a block of 120
+    rows rounds some rows differently at n=601."""
+    A = matrices[n]
+    if budget != "default":
+        monkeypatch.setattr(codec, "ROW_BLOCK_BYTES", 4 * 64 * A.n_cols)
+    S = np.random.default_rng(K * n).standard_normal((K, A.n_cols))
+    got = A.matvec(S)
+    assert got.shape == (K, n) and got.dtype == np.float64
+    assert np.array_equal(got, _full_gemvs(A._A, S))
+    assert np.array_equal(A.matvec(S[0]), got[0])
+
+
+@pytest.mark.parametrize("n", [127, 601])
+@pytest.mark.parametrize("K", [1, 2, 8])
+def test_stacked_rmatvec_equals_full_gemvs_bitwise(matrices, n, K):
+    A = matrices[n]
+    Z = np.random.default_rng(K * n).standard_normal((K, n))
+    got = A.rmatvec(Z)
+    assert got.shape == (K, A.n_cols) and got.dtype == np.float64
+    assert np.array_equal(got, _full_gemvs(A._A.T, Z))
+    assert np.array_equal(A.rmatvec(Z[0]), got[0])
+
+
+def test_products_run_blas_on_one_thread(getters, monkeypatch):
+    """Both products run every OpenBLAS on one thread, whatever count
+    the caller set, and leave the caller's count in place."""
+    inside = []
+    real = np.matmul
+
+    def spy(a, b, out=None):
+        inside.append([get() for get in getters])
+        return real(a, b, out=out)
+
+    monkeypatch.setattr(codec.np, "matmul", spy)
+    A = DesignMatrix(200, 2048, seed=1)
+    A.matvec(np.zeros((2, 2048)))
+    A.rmatvec(np.zeros((2, 200)))
+    assert inside == [[1] * len(getters)] * (2 * 2 + 2)
+    assert [get() for get in getters] == [2] * len(getters)
+
+
+def test_matvec_row_blocks_are_64_row_multiples(monkeypatch):
+    """The row block is about ROW_BLOCK_BYTES of A, rounded down to a
+    multiple of 64 rows, and never fewer than 64 rows: 128 rows at desk
+    width, 64 where one row alone passes the budget."""
+    blocks = []
+    real = np.matmul
+
+    def spy(a, b, out=None):
+        blocks.append(len(a))
+        return real(a, b, out=out)
+
+    monkeypatch.setattr(codec.np, "matmul", spy)
+    for n_cols, rows in ((2048, 128), (3000, 64), (9000, 64)):
+        blocks.clear()
+        A = DesignMatrix(200, n_cols, seed=1)
+        A.matvec(np.zeros(n_cols))
+        assert blocks == [rows] * (200 // rows) + [200 % rows]
 
 
 # ---------------------------------------------------------------------------

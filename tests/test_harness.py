@@ -299,6 +299,29 @@ def test_workers_run_blas_on_one_thread(cpus, monkeypatch):
         assert list(counts) == [[1] * len(getters)] * 2
 
 
+@pytest.mark.parametrize("n", [600, 601])
+def test_traces_do_not_depend_on_blas_threads(getters, cpus, n):
+    """A point of 8 trials decodes inline with the caller's two OpenBLAS
+    threads, a point of 16 in two forked workers on one thread each.
+    Trials 0..7 get the same results either way: a threaded gemv rounds
+    some rows differently at n=601, so the design-matrix products run
+    on one thread wherever they run."""
+    cpus(2)
+    cfg = SimConfig(schedule="bp0", n=n, seed=3, trials=16, ebno_db=(4.0,))
+    _, code, encoder = build_experiment(cfg)
+    sigma2 = harness._sigma2(cfg, 4.0)
+    params = harness.decoder_params(cfg, tau2_floor_for(sigma2))
+    points = []
+    for trials in (8, 16):
+        assert harness._worker_count(trials) == trials // harness.BATCH
+        with harness._point_trials(cfg, code, encoder, sigma2, params, 0,
+                                   trials) as decoded:
+            points.append([res for _, _, res in decoded][:8])
+    for inline, forked in zip(*points):
+        assert np.array_equal(inline.tau2_trace, forked.tau2_trace)
+        assert np.array_equal(inline.symbols, forked.symbols)
+
+
 def test_workers_run_one_part(cpus, monkeypatch):
     """Each forked worker runs every BP half-round as one part, where the
     caller would split a half-round of the same size over its CPUs."""

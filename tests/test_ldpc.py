@@ -119,6 +119,21 @@ def test_zero_label_rejected():
         LdpcCode(GF2m(2), 2, 1, [0, 1], [0, 0], [1, 0])
 
 
+def test_parallel_edges_rejected_among_others():
+    with pytest.raises(ValueError, match="parallel"):
+        LdpcCode(GF2m(2), 3, 2, [2, 1, 0, 1], [1, 1, 0, 1], [1, 1, 1, 1])
+
+
+def test_adjacency_built_on_first_read():
+    code = peg_construct(GF2m(4), L=40, P=10, dv=3)
+    assert "var_edges" not in vars(code) and "chk_edges" not in vars(code)
+    assert [code.edge_var[e].tolist() for e in code.chk_edges] == [
+        sorted(code.edge_var[code.edge_chk == p].tolist())
+        for p in range(code.P)]
+    for v, edges in enumerate(code.var_edges):
+        assert edges.tolist() == np.flatnonzero(code.edge_var == v).tolist()
+
+
 # ---------------------------------------------------------------------------
 # Edge labels
 # ---------------------------------------------------------------------------
@@ -135,6 +150,28 @@ def test_labels_deterministic():
     c = assign_edge_labels(graph, seed=10)
     assert np.array_equal(a.edge_label, b.edge_label)
     assert not np.array_equal(a.edge_label, c.edge_label)
+
+
+def test_with_labels_copies_the_graph_and_checks_the_labels():
+    """with_labels gives the code that a fresh LdpcCode builds from the
+    graph's edges and the new labels, sharing the graph's arrays."""
+    field = GF2m(4)
+    graph = peg_construct(field, L=40, P=10, dv=3)
+    labels = np.arange(graph.n_edges) % (field.q - 1) + 1
+    code = graph.with_labels(labels)
+    fresh = LdpcCode(field, graph.L, graph.P, graph.edge_var,
+                     graph.edge_chk, labels)
+    for name in ("edge_var", "edge_chk", "edge_label"):
+        assert np.array_equal(getattr(code, name), getattr(fresh, name))
+    assert code.girth == fresh.girth == graph.girth
+    assert code.edge_var is graph.edge_var
+    assert np.all(graph.edge_label == 1)
+    with pytest.raises(ValueError, match="nonzero"):
+        graph.with_labels(np.where(labels == 3, 0, labels))
+    with pytest.raises(ValueError, match="nonzero"):
+        graph.with_labels(np.full(graph.n_edges, field.q))
+    with pytest.raises(ValueError, match="^expected"):
+        graph.with_labels(labels[1:])
 
 
 def test_labels_uniform_chi2():
@@ -256,6 +293,36 @@ def test_syndrome_stack_rejects_bad_shapes(desk_code, shape):
     code, _ = desk_code
     with pytest.raises(ValueError):
         syndrome_check(code, np.zeros(shape, dtype=np.int64))
+
+
+def _full_row_elimination(code):
+    """Pivot columns and reduced rows of H, eliminating over every column
+    of each row (the encoder skips the columns left of the pivot)."""
+    H = code.parity_matrix()
+    mul, inv = code.field.mul_table, code.field.inv
+    pivots, r = [], 0
+    for c in range(code.L):
+        nz = np.flatnonzero(H[r:, c]) if r < code.P else []
+        if len(nz) == 0:
+            continue
+        H[[r, r + nz[0]]] = H[[r + nz[0], r]]
+        H[r] = mul[H[r], inv(H[r, c])]
+        factors = H[:, c].copy()
+        factors[r] = 0
+        H ^= mul[factors[:, None], H[r][None, :]]
+        pivots.append(c)
+        r += 1
+    return pivots, H
+
+
+@pytest.mark.parametrize("m, L, P, dv, seed", [
+    (4, 128, 8, 3, 5), (2, 30, 12, 3, 1), (6, 60, 20, 4, 2), (3, 40, 25, 2, 3),
+])
+def test_encoder_matches_full_row_elimination(m, L, P, dv, seed):
+    code, enc = build_code(GF2m(m), L, P, dv, seed)
+    pivots, H = _full_row_elimination(code)
+    assert enc.parity_positions.tolist() == pivots
+    assert np.array_equal(enc.parity_rows, H[:, enc.message_positions])
 
 
 def test_rank_deficient_reported():
