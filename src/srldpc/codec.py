@@ -7,6 +7,8 @@ from counter-based Philox streams keyed by (seed, stream id, ...), so
 matrix, labels, noise, and trials are independently reproducible.
 """
 
+import mmap
+
 import numpy as np
 
 from . import blas
@@ -99,10 +101,13 @@ class DesignMatrix:
     Column j is drawn from its own (seed, STREAM_MATRIX, j) stream.  That
     stream is what defines a seeded matrix: any column can be regenerated
     alone, and a matrix does not depend on the order its columns are
-    drawn in.  The Philox keys of all columns are derived in one
-    vectorized pass (_column_keys), and one Philox generator is re-keyed
-    at counter 0 for each column, so column j is exactly what
-    rng_stream(seed, STREAM_MATRIX, j) draws.  Storage is float32,
+    drawn in.  draw_columns draws any range of columns: the Philox keys
+    of the columns are derived in one vectorized pass (_column_keys),
+    and one Philox generator is re-keyed at counter 0 for each column,
+    so column j is exactly what rng_stream(seed, STREAM_MATRIX, j)
+    draws.  The constructor draws every column; a matrix made by
+    shared() is drawn by the processes forked after it, each drawing a
+    range of columns into the one shared copy.  Storage is float32,
     row-major; products are returned in float64.
 
     matvec and rmatvec take one vector or a (K, ...) stack of them and
@@ -123,32 +128,51 @@ class DesignMatrix:
     """
 
     def __init__(self, n, n_cols, seed):
+        self._shape(n, n_cols, seed)
+        self._A = np.empty((self.n, self.n_cols), dtype=np.float32)
+        self.draw_columns(0, self.n_cols)
+
+    @classmethod
+    def shared(cls, n, n_cols, seed):
+        """The matrix with its entries not yet drawn, held in an
+        anonymous shared mapping: processes forked after this call read
+        and write the same entries, so each can draw a range of columns
+        with draw_columns for all of them."""
+        A = cls.__new__(cls)
+        A._shape(n, n_cols, seed)
+        storage = mmap.mmap(-1, 4 * A.n * A.n_cols)
+        A._A = np.frombuffer(storage, dtype=np.float32).reshape(A.n, A.n_cols)
+        return A
+
+    def _shape(self, n, n_cols, seed):
         self.n = int(n)
         self.n_cols = int(n_cols)
         self.seed = seed
         for name, value in (("n", self.n), ("n_cols", self.n_cols)):
             if value < 1:
                 raise ValueError(f"{name} must be at least 1, got {value}")
-        keys = _column_keys(seed, STREAM_MATRIX, self.n_cols)
+
+    def draw_columns(self, start, stop):
+        """Draw columns start..stop-1, each from its own stream."""
+        keys = _column_keys(self.seed, STREAM_MATRIX, stop)
         bitgen = np.random.Philox(0)
         rng = np.random.Generator(bitgen)
         state = bitgen.state    # counter 0, empty buffer; key set per column
         # Columns are drawn into a small block of rows and written into
         # the row-major matrix a block at a time, so the build holds the
         # matrix once.
-        self._A = np.empty((self.n, self.n_cols), dtype=np.float32)
-        block = np.empty((min(COLUMN_BLOCK, self.n_cols), self.n),
+        block = np.empty((min(COLUMN_BLOCK, stop - start), self.n),
                          dtype=np.float32)
         column = np.empty(self.n)
         scale = 1.0 / np.sqrt(self.n)
-        for start in range(0, self.n_cols, len(block)):
-            stop = min(start + len(block), self.n_cols)
-            for j in range(start, stop):
+        for lo in range(start, stop, COLUMN_BLOCK):
+            hi = min(lo + COLUMN_BLOCK, stop)
+            for j in range(lo, hi):
                 state["state"]["key"] = keys[j]
                 bitgen.state = state
                 rng.standard_normal(out=column)
-                np.multiply(column, scale, out=block[j - start])
-            self._A[:, start:stop] = block[:stop - start].T
+                np.multiply(column, scale, out=block[j - lo])
+            self._A[:, lo:hi] = block[:hi - lo].T
 
     def matvec(self, s):
         """A @ s for a length-n_cols vector, or row by row for a

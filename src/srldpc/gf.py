@@ -97,8 +97,10 @@ class GF2m:
         return self.mul_table[a, b]
 
     def inv(self, a):
-        """Multiplicative inverse of a nonzero element."""
-        if np.any(np.asarray(a) == 0):
+        """Multiplicative inverse of a nonzero element or array of them;
+        a scalar is one table lookup."""
+        if (not a if isinstance(a, (int, np.integer))
+                else np.any(np.asarray(a) == 0)):
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return self.inv_table[a]
 

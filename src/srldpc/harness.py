@@ -8,32 +8,37 @@ trials in index order and keeps every completed trial, so the estimates
 are unbiased.
 
 run_point and se_vs_truth read a point's trials as one stream, in
-trial order, from _point_trials.  It builds the point's fixed-policy
-design matrix and splits the trials into batches of BATCH consecutive
-indices, each decoded through amp.decode_batch, which runs the batch in
-lockstep through one AMP loop and one BP denoiser holding the messages
-as (edges, trials, q); a trial that stops is compacted out while the
-others go on.  Each trial's result is bitwise the one it gets when
-decoded alone.
+trial order, from _point_trials.  It splits the trials into batches of
+BATCH consecutive indices, each decoded through amp.decode_batch, which
+runs the batch in lockstep through one AMP loop and one BP denoiser
+holding the messages as (edges, trials, q); a trial that stops is
+compacted out while the others go on.  Each trial's result is bitwise
+the one it gets when decoded alone.
 
 The batches run on forked worker processes, one per CPU in the
-caller's affinity mask and at most one per batch.  The workers are
-forked after the code, the decoder settings and the design matrix
-exist, so they share them copy-on-write and only decoded results are
-pickled.  Worker w decodes batches w, w+W, ... of the W workers in
-order and sends each result, or the first error, on a one-way pipe of
-its own; the caller reads batch b from pipe b % W.  A full pipe holds a
-worker about one batch ahead of the caller, and no lock is shared
-between processes.  With one worker (a 1-CPU mask, say `taskset -c 0`,
-or a single batch) the batches run inline with no fork.  The caller
-tallies each trial's result in trial index order, so every sum, and
-hence every tally, depends only on (config, seed) and not on the worker
-count.  run_point stops at the exact trial that reaches target_errors;
-the workers are then killed and joined, whatever they still decode,
-before it returns.  Each worker runs OpenBLAS and the BP denoiser on
-one thread, and a worker that exits without a result is a
-RuntimeError, not a wait that never ends.  The trials/s this reaches
-at the desk waterfall point on two workers are measured by
+caller's affinity mask and at most one per batch, which share the code
+and the settings copy-on-write.  Under matrix_policy=fixed the point's
+design matrix is made undrawn in memory shared across the fork, and
+each of the W workers draws a contiguous W-th of its columns (each
+column is its own seeded stream), so no CPU idles while one process
+draws the whole matrix.  Once every worker has reported its columns
+drawn, the caller keeps two batch indices on each worker's duplex pipe,
+the one it decodes and one queued, and sends it the next index whenever
+it returns a result, reading whichever worker is ready: until the
+batches run out, no worker waits for the caller to read a result or for
+a slow batch on another worker.  Results that arrive ahead of an
+earlier batch wait in a reorder buffer, and the caller tallies each
+trial in trial index order, so every tally depends only on (config,
+seed), not on the worker count or on which worker decoded which batch.
+No lock is shared between processes.  With one worker (a 1-CPU mask,
+say `taskset -c 0`, or a single batch) the matrix is drawn and the
+batches run inline, with no fork.  run_point stops at the exact trial
+that reaches target_errors; the workers are then killed and joined,
+whatever they still decode, before it returns.  Each worker runs
+OpenBLAS and the BP denoiser on one thread.  A worker's error is raised
+in the caller with its type, and a worker that exits without a result
+is a RuntimeError, not a wait that never ends.  The trials/s this
+reaches at the desk waterfall point on two workers are measured by
 `python3 perfbench/run.py` and recorded in the BENCH_*.json files.
 """
 
@@ -42,10 +47,12 @@ import multiprocessing
 import os
 import subprocess
 import time
+from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, asdict, fields, replace
 from functools import partial
 from itertools import chain
+from multiprocessing.connection import wait
 
 import numpy as np
 
@@ -234,9 +241,11 @@ def build_experiment(cfg):
     return field, code, encoder
 
 
-def design_matrix(cfg, snr_index, trial=None):
+def design_matrix(cfg, snr_index, trial=None, shared=False):
     """Seeded design matrix of one SNR point, and of one trial under
-    matrix_policy=per_trial, which has no matrix without a trial."""
+    matrix_policy=per_trial, which has no matrix without a trial.  With
+    shared, it is made undrawn in memory shared with processes forked
+    later (DesignMatrix.shared)."""
     if cfg.matrix_policy == "fixed":
         key = (STREAM_MATRIX, snr_index)
     elif trial is None:
@@ -245,8 +254,8 @@ def design_matrix(cfg, snr_index, trial=None):
     else:
         key = (STREAM_MATRIX, snr_index, trial)
     seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=key)
-    return DesignMatrix(cfg.n, (1 << cfg.m) * cfg.L,
-                        int(seq.generate_state(1)[0]))
+    make = DesignMatrix.shared if shared else DesignMatrix
+    return make(cfg.n, (1 << cfg.m) * cfg.L, int(seq.generate_state(1)[0]))
 
 
 def decoder_params(cfg, tau2_floor):
@@ -304,51 +313,53 @@ def _point_trials(cfg, code, encoder, sigma2, params, snr_index, trials):
     """Context giving (bits, v, DecodeResult) of trials 0..trials-1 of
     one SNR point, in trial order.
 
-    The point's design matrix is built here under matrix_policy=fixed;
-    under per_trial each trial builds its own.  The trials are decoded
-    in batches of BATCH consecutive indices.  With W > 1 workers, worker
-    w is forked with the code, the settings and the matrix copy-on-write,
-    decodes batches w, w+W, ... and sends each result on its own pipe,
-    from which batch b is read; a full pipe holds it about one batch
-    ahead.  Leaving the context kills and joins the workers, so batches
-    still in flight after the caller stops reading are discarded.  With
-    one worker the batches run inline, with no fork.
+    The trials are decoded in batches of BATCH consecutive indices,
+    inline with one worker, else on W forked workers.  Worker w first
+    draws its W-th of the columns of the point's shared matrix
+    (matrix_policy=fixed; under per_trial each trial builds its own),
+    then _on_demand hands out the batches.  Leaving the context kills
+    and joins the workers, so batches still in flight after the caller
+    stops reading are discarded.
     """
-    A = (design_matrix(cfg, snr_index) if cfg.matrix_policy == "fixed"
-         else None)
-    job = partial(decode_trials, cfg, code, encoder, A, sigma2, params,
-                  snr_index)
     batches = [range(start, min(start + BATCH, trials))
                for start in range(0, trials, BATCH)]
     workers = _worker_count(trials)
+    A = (design_matrix(cfg, snr_index, shared=workers > 1)
+         if cfg.matrix_policy == "fixed" else None)
+    job = partial(decode_trials, cfg, code, encoder, A, sigma2, params,
+                  snr_index)
     if workers <= 1:
         yield chain.from_iterable(map(job, batches))
         return
     ctx = multiprocessing.get_context("fork")
-    procs, pipes = [], []
+    procs, conns = [], []
     try:
         for w in range(workers):
-            recv, send = ctx.Pipe(duplex=False)
-            pipes.append(recv)
+            draw = (partial(A.draw_columns, A.n_cols * w // workers,
+                            A.n_cols * (w + 1) // workers)
+                    if A is not None else lambda: None)
+            conn, child_conn = ctx.Pipe()
+            conns.append(conn)
             proc = ctx.Process(target=_work,
-                               args=(job, batches[w::workers], send))
+                               args=(draw, job, batches, child_conn))
             proc.start()
             procs.append(proc)
             # closed before the next fork, so that the worker holds the
-            # only write end and its exit reads as an EOF
-            send.close()
-        yield chain.from_iterable(_in_order(pipes, len(batches)))
+            # only other end and its exit reads as an EOF
+            child_conn.close()
+        yield chain.from_iterable(_on_demand(conns, len(batches)))
     finally:
         for proc in procs:
             proc.kill()
             proc.join()
-        for recv in pipes:
-            recv.close()
+        for conn in conns:
+            conn.close()
 
 
-def _work(job, batches, send):
-    """Worker body: decode the batches in order and send (True, result)
-    for each, or (False, exception) for the first one that raises.
+def _work(draw, job, batches, conn):
+    """Worker body: run draw(), then decode each batch index received on
+    conn, in the order received.  After each step it sends (True, result),
+    or (False, exception) for the first step that raises, and stops.
 
     A worker has a CPU to itself, so it runs OpenBLAS and each BP
     half-round on one thread: threads of its own would contend with the
@@ -356,28 +367,71 @@ def _work(job, batches, send):
     threads each decoded the desk point slower than one process."""
     blas.set_threads(1)
     run_one_part()
-    for batch in batches:
+    step = draw
+    while True:
         try:
-            result = job(batch)
+            result = step()
         except Exception as exc:
-            send.send((False, exc))
+            conn.send((False, exc))
             return
-        send.send((True, result))
+        conn.send((True, result))
+        step = partial(job, batches[conn.recv()])
 
 
-def _in_order(pipes, count):
-    """Results of batches 0..count-1, batch b read from pipe
-    b % len(pipes).  A worker's error is raised here with its type, and
-    a worker that exits without a result is a RuntimeError."""
+def _on_demand(conns, count):
+    """Results of batches 0..count-1, in batch order, from the workers at
+    the other ends of conns.
+
+    First every worker reports its draw.  Then each worker holds two
+    batch indices, the one it decodes and one queued, and is sent the
+    next index each time it returns a result, so that it never waits for
+    the caller; a result that arrives before an earlier batch's waits
+    in `done`.  A worker's error is raised here with its type when its
+    batch is reached (an error while drawing at once), and a batch whose
+    worker exited without sending its result is a RuntimeError."""
+    for conn in conns:
+        ok, error = _receive(conn)
+        if not ok:
+            raise error
+    queued = {conn: deque() for conn in conns}
+    todo = iter(range(count))
+    done = {}
+
+    def hand_out(conn):
+        b = next(todo, None)
+        if b is not None:
+            queued[conn].append(b)
+            try:
+                conn.send(b)
+            except OSError:
+                pass    # the worker is gone; its EOF is read next
+
+    for _ in range(2):
+        for conn in conns:
+            hand_out(conn)
     for b in range(count):
-        try:
-            ok, result = pipes[b % len(pipes)].recv()
-        except EOFError:
-            raise RuntimeError("a worker process exited while decoding "
-                               "a batch") from None
+        while b not in done:
+            for conn in wait([c for c in conns if queued[c]]):
+                outcome = _receive(conn)
+                done[queued[conn].popleft()] = outcome
+                if outcome[0]:
+                    hand_out(conn)
+                else:   # the worker has stopped; its queue fails with it
+                    done.update(dict.fromkeys(queued[conn], outcome))
+                    queued[conn].clear()
+        ok, result = done.pop(b)
         if not ok:
             raise result
         yield result
+
+
+def _receive(conn):
+    """A worker's next (ok, result); its exit is (False, RuntimeError)."""
+    try:
+        return conn.recv()
+    except EOFError:
+        return False, RuntimeError("a worker process exited before "
+                                   "sending its result")
 
 
 def run_trial(cfg, code, encoder, A, sigma2, params, snr_index, trial):

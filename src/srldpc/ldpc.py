@@ -9,7 +9,6 @@ this ordering is part of the code object.
 """
 
 import copy
-import functools
 import math
 
 import numpy as np
@@ -34,8 +33,6 @@ class LdpcCode:
         L, P: variable / check node counts
         edge_var, edge_chk, edge_label: per-edge arrays, sorted by
             (check index, slot); labels are nonzero field elements
-        var_edges, chk_edges: adjacency as lists of edge-id arrays,
-            built on first read
         girth: length of the shortest cycle (math.inf when acyclic)
     """
 
@@ -71,17 +68,6 @@ class LdpcCode:
         if np.any(labels < 1) or np.any(labels >= self.field.q):
             raise ValueError("edge labels must be nonzero field elements")
 
-    @functools.cached_property
-    def var_edges(self):
-        # A stable sort by variable keeps ids ascending per variable.
-        return _split(np.argsort(self.edge_var, kind="stable"),
-                      self.var_degrees())
-
-    @functools.cached_property
-    def chk_edges(self):
-        # Edges are sorted by check, so each check's edges are a run of ids.
-        return _split(np.arange(self.n_edges), self.chk_degrees())
-
     def var_degrees(self):
         return np.bincount(self.edge_var, minlength=self.L)
 
@@ -106,12 +92,6 @@ class LdpcCode:
         code = copy.copy(self)
         code.edge_label = labels
         return code
-
-
-def _split(edge_ids, counts):
-    """Consecutive runs of edge_ids with the given lengths, as views."""
-    ends = np.cumsum(counts).tolist()
-    return [edge_ids[end - n:end] for n, end in zip(counts.tolist(), ends)]
 
 
 def check_peg_profile(L, P, dv):

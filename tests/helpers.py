@@ -27,6 +27,8 @@ a row maximum by reduction; the shipped in-place form must give the
 same mean bit for bit.
 openblas_thread_getters reads the thread count of each OpenBLAS in the
 process through ctypes on its own, not through srldpc.blas.
+var_edges and chk_edges list a code's edge ids per variable and per
+check; the shipped denoiser and SE use their own slot layouts.
 """
 
 import ctypes
@@ -37,6 +39,25 @@ import numpy as np
 
 from srldpc.denoiser import MSG_FLOOR, BpDenoiser, Schedule, hadamard_matrix
 from srldpc.ldpc import LdpcCode, check_peg_profile, syndrome_check
+
+
+def _split(edge_ids, counts):
+    """Consecutive runs of edge_ids with the given lengths, as views."""
+    ends = np.cumsum(counts).tolist()
+    return [edge_ids[end - n:end] for n, end in zip(counts.tolist(), ends)]
+
+
+def var_edges(code):
+    """Edge ids of each variable, ascending."""
+    # A stable sort by variable keeps ids ascending per variable.
+    return _split(np.argsort(code.edge_var, kind="stable"),
+                  code.var_degrees())
+
+
+def chk_edges(code):
+    """Edge ids of each check, ascending."""
+    # Edges are sorted by check, so each check's edges are a run of ids.
+    return _split(np.arange(code.n_edges), code.chk_degrees())
 
 
 def check_round_message(incoming, out_label, field):
@@ -58,7 +79,7 @@ def check_round_message(incoming, out_label, field):
         + [np.full(field.q, 1.0 / field.q)]
     )
     den.bp_round()
-    return den.c2v[code.var_edges[d - 1][0]]
+    return den.c2v[var_edges(code)[d - 1][0]]
 
 
 def fq_convolve(a, b, field):
@@ -206,8 +227,8 @@ def reference_bp_round(code, alpha, v2c, c2v):
     E = code.n_edges
     H = hadamard_matrix(q)
     neutral = np.ones((1, q))
-    var_pad, var_mask = _pad_adjacency(code.var_edges, E)
-    chk_pad, chk_mask = _pad_adjacency(code.chk_edges, E)
+    var_pad, var_mask = _pad_adjacency(var_edges(code), E)
+    chk_pad, chk_mask = _pad_adjacency(chk_edges(code), E)
 
     gathered = np.vstack([c2v, neutral])[var_pad]
     msgs = _reference_excl_prod(gathered) * alpha[:, None, :]
@@ -230,7 +251,7 @@ def reference_bp_round(code, alpha, v2c, c2v):
 
 def reference_estimate(code, alpha, c2v):
     """Per-section posterior in the node-major form; returns (rows, n_bad)."""
-    var_pad, _ = _pad_adjacency(code.var_edges, code.n_edges)
+    var_pad, _ = _pad_adjacency(var_edges(code), code.n_edges)
     gathered = np.vstack([c2v, np.ones((1, code.field.q))])[var_pad]
     return _reference_normalize(gathered.prod(axis=1) * alpha)
 
@@ -299,7 +320,7 @@ def reference_approximate_se(code, n, sigma2, T, schedule, psi):
     if E:
         edge_factor = (q / (q - 1.0)) ** (
             code.chk_degrees()[code.edge_chk] - 2.0)
-        chk_pad, chk_mask = _pad_adjacency(code.chk_edges, E)
+        chk_pad, chk_mask = _pad_adjacency(chk_edges(code), E)
         edge_order = chk_pad[chk_mask]
 
     def inv_tau2(c2v_l2):

@@ -6,8 +6,8 @@ import pytest
 from helpers import (
     _pad_adjacency, _reference_excl_prod, check_round_message,
     check_update_bruteforce, check_update_convolution, exhaustive_posteriors,
-    fq_convolve, openblas_thread_getters, reference_bp_round,
-    reference_estimate,
+    chk_edges, fq_convolve, openblas_thread_getters, reference_bp_round,
+    reference_estimate, var_edges,
 )
 from srldpc import denoiser
 from srldpc.denoiser import (
@@ -324,13 +324,12 @@ def _assert_rounds_match_oracle(code, check_oracle, seed):
     alpha = local_posterior(r.reshape(code.L, q), tau2)
     v2c = np.full((code.n_edges, q), 1.0 / q)
     c2v = np.full((code.n_edges, q), 1.0 / q)
+    var_lists, chk_lists = var_edges(code), chk_edges(code)
     for _ in range(2):
-        for l in range(code.L):
-            edges = code.var_edges[l]
+        for l, edges in enumerate(var_lists):
             for e in edges:
                 v2c[e] = product(alpha[l], c2v[edges[edges != e]])
-        for p in range(code.P):
-            edges = code.chk_edges[p]
+        for edges in chk_lists:
             for e in edges:
                 incoming = [(v2c[j], int(code.edge_label[j]))
                             for j in edges if j != e]
@@ -343,7 +342,7 @@ def _assert_rounds_match_oracle(code, check_oracle, seed):
 
     est = den.estimate()
     for l in range(code.L):
-        ref = product(alpha[l], c2v[code.var_edges[l]])
+        ref = product(alpha[l], c2v[var_lists[l]])
         assert np.abs(est[l] - ref).max() < 1e-10
 
 
@@ -470,8 +469,8 @@ def test_slot_major_layout_matches_node_major_oracle(case):
     code = LAYOUT_CODES[case]()
     E = code.n_edges
     for node_of_edge, n_nodes, edge_lists in (
-            (code.edge_var, code.L, code.var_edges),
-            (code.edge_chk, code.P, code.chk_edges)):
+            (code.edge_var, code.L, var_edges(code)),
+            (code.edge_chk, code.P, chk_edges(code))):
         pad = _slot_major(node_of_edge, n_nodes)
         ref, mask = _pad_adjacency(edge_lists, E)
         assert np.array_equal(pad, ref.T)

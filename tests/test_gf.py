@@ -56,6 +56,23 @@ def test_inv_zero_raises():
         GF2m(4).inv(0)
 
 
+@pytest.mark.parametrize("zero", [0, np.int64(0), np.array([3, 0]), [0]],
+                         ids=["int", "numpy_scalar", "array", "list"])
+def test_inv_zero_raises_for_scalars_and_arrays(zero):
+    with pytest.raises(ZeroDivisionError):
+        GF2m(4).inv(zero)
+
+
+def test_inv_scalar_lookup_matches_array_path():
+    """A Python or numpy scalar, as Encoder passes a pivot, gets the
+    element the array path gives."""
+    field = GF2m(8)
+    a = np.arange(1, field.q)
+    expected = field.inv(a)
+    assert [field.inv(int(x)) for x in a] == expected.tolist()
+    assert [field.inv(x) for x in a] == expected.tolist()
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_field_axioms_exhaustive(m):
     field = GF2m(m)

@@ -1,10 +1,13 @@
+import hashlib
 import json
 import multiprocessing
 import os
 import subprocess
 import sys
+import time
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,7 +15,7 @@ import pytest
 from helpers import openblas_thread_getters
 from srldpc import denoiser, harness
 from srldpc.amp import tau2_floor_for
-from srldpc.codec import snr_to_sigma2
+from srldpc.codec import DesignMatrix, snr_to_sigma2
 from srldpc.denoiser import Schedule
 from srldpc.harness import (
     ConfigError, PointResult, SimConfig, build_experiment, design_matrix,
@@ -242,6 +245,101 @@ def test_run_point_raises_when_a_worker_dies(cpus, monkeypatch):
     with pytest.raises(RuntimeError, match="worker process exited"):
         run_point(SimConfig(**{**SMALL, "trials": 16}), 8.0)
     assert multiprocessing.active_children() == []
+
+
+def _fake_batch(errors, slow, pad_bytes):
+    """A decode_trials stand-in: trial t fails iff t is in errors, batch
+    0 sleeps `slow` seconds, and each result records when it was done
+    and carries pad_bytes of padding."""
+    def decode_trials(cfg, code, encoder, A, sigma2, params, snr_index,
+                      trials):
+        if trials[0] == 0:
+            time.sleep(slow)
+        results = []
+        for t in trials:
+            res = SimpleNamespace(
+                bits=np.zeros(cfg.B, dtype=np.int64),
+                symbols=np.array([int(t in errors)]),
+                termination_reason="exhausted", iterations_used=1,
+                tau2_trace=np.array([float(t)]), done=time.monotonic())
+            results.append((res.bits, np.zeros(1, dtype=np.int64), res))
+        results[0][2].pad = np.zeros(pad_bytes, dtype=np.uint8)
+        return results
+    return decode_trials
+
+
+def test_workers_go_on_while_a_batch_is_slow(cpus, monkeypatch):
+    """Batch 0 is slow and every batch's result is larger than a Linux
+    pipe holds.  The other worker still decodes at least three batches
+    before batch 0 is done, instead of waiting for the caller to read
+    its first result, and run_point still tallies in trial order: it
+    stops at the trial that reaches target_errors."""
+    cpus(2)
+    monkeypatch.setattr(harness, "decode_trials",
+                        _fake_batch({3, 20, 45}, slow=1.0,
+                                    pad_bytes=1 << 17))
+    tallied = []
+
+    def trial_tally(bits, v, res):
+        tallied.append(res)
+        return tally(bits, v, res)
+
+    tally = harness.trial_tally
+    monkeypatch.setattr(harness, "trial_tally", trial_tally)
+    cfg = SimConfig(**{**SMALL, "trials": 80, "target_errors": 3})
+    row = run_point(cfg, 8.0)
+    assert (row.trials, row.codeword_errors) == (46, 3)
+    assert [int(res.tau2_trace[0]) for res in tallied] == list(range(46))
+    first = tallied[0].done
+    ahead = {int(res.tau2_trace[0]) // harness.BATCH
+             for res in tallied if res.done < first}
+    assert len(ahead) >= 3, ahead
+    assert multiprocessing.active_children() == []
+
+
+def test_each_worker_reads_the_whole_matrix(cpus, monkeypatch):
+    """The caller forks before any column is drawn, and each worker
+    draws part of the point's matrix into memory shared with the other;
+    by its first batch it reads the whole matrix, bitwise the one
+    DesignMatrix draws in one process."""
+    cpus(2)
+    cfg = SimConfig(**{**SMALL, "trials": 16})
+    expected = design_matrix(cfg, 0)
+    digest = hashlib.sha256(expected._A.tobytes()).hexdigest()
+    caller = os.getpid()
+    draw = DesignMatrix.__init__
+
+    def init(self, *args):
+        assert os.getpid() != caller, "the caller drew the matrix"
+        draw(self, *args)
+
+    monkeypatch.setattr(DesignMatrix, "__init__", init)
+    monkeypatch.setattr(harness, "decode_trials", lambda cfg, code, encoder,
+                        A, *rest: [(os.getpid(), A.seed, hashlib.sha256(
+                            A._A.tobytes()).hexdigest())])
+    with harness._point_trials(cfg, None, None, 1.0, None, 0, 16) as seen:
+        seen = list(seen)
+    assert [s[1:] for s in seen] == [(expected.seed, digest)] * 2
+    assert len({s[0] for s in seen} | {caller}) == 3
+
+
+@pytest.mark.parametrize("fail, error", [
+    (lambda self, start, stop: os._exit(1), RuntimeError),
+    (lambda self, start, stop: _raise(ConfigError("drawing")), ConfigError),
+], ids=["dies", "raises"])
+def test_worker_failing_while_drawing(cpus, monkeypatch, fail, error):
+    """A worker that dies or raises while drawing its columns stops the
+    point with a RuntimeError or the worker's own error, and leaves no
+    worker running."""
+    cpus(2)
+    monkeypatch.setattr(DesignMatrix, "draw_columns", fail)
+    with pytest.raises(error):
+        run_point(SimConfig(**{**SMALL, "trials": 16}), 8.0)
+    assert multiprocessing.active_children() == []
+
+
+def _raise(exc):
+    raise exc
 
 
 HANG_LOOP = """

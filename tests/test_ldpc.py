@@ -11,7 +11,7 @@ from srldpc.ldpc import (
     symbols_to_bits, syndrome_check,
 )
 
-from helpers import reference_peg_construct
+from helpers import chk_edges, reference_peg_construct, var_edges
 
 
 @pytest.fixture(scope="module")
@@ -77,12 +77,10 @@ def test_peg_matches_reference_bfs(L, P, dv):
     assert np.array_equal(code.edge_var, ref.edge_var)
     assert np.array_equal(code.edge_chk, ref.edge_chk)
     assert code.girth == ref.girth == compute_girth(code)
-    for l in range(L):
-        assert np.array_equal(code.var_edges[l],
-                              np.flatnonzero(code.edge_var == l))
-    for p in range(P):
-        assert np.array_equal(code.chk_edges[p],
-                              np.flatnonzero(code.edge_chk == p))
+    for l, edges in enumerate(var_edges(code)):
+        assert np.array_equal(edges, np.flatnonzero(code.edge_var == l))
+    for p, edges in enumerate(chk_edges(code)):
+        assert np.array_equal(edges, np.flatnonzero(code.edge_chk == p))
 
 
 def test_peg_reference_scale_shape():
@@ -122,16 +120,6 @@ def test_zero_label_rejected():
 def test_parallel_edges_rejected_among_others():
     with pytest.raises(ValueError, match="parallel"):
         LdpcCode(GF2m(2), 3, 2, [2, 1, 0, 1], [1, 1, 0, 1], [1, 1, 1, 1])
-
-
-def test_adjacency_built_on_first_read():
-    code = peg_construct(GF2m(4), L=40, P=10, dv=3)
-    assert "var_edges" not in vars(code) and "chk_edges" not in vars(code)
-    assert [code.edge_var[e].tolist() for e in code.chk_edges] == [
-        sorted(code.edge_var[code.edge_chk == p].tolist())
-        for p in range(code.P)]
-    for v, edges in enumerate(code.var_edges):
-        assert edges.tolist() == np.flatnonzero(code.edge_var == v).tolist()
 
 
 # ---------------------------------------------------------------------------

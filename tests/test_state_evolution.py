@@ -14,7 +14,7 @@ from srldpc.state_evolution import (
 )
 
 from helpers import (
-    reference_approximate_se, reference_mc_alpha0_mean, se_check_mse,
+    chk_edges, var_edges, reference_approximate_se, reference_mc_alpha0_mean, se_check_mse,
     se_variable_tau,
 )
 
@@ -383,14 +383,15 @@ def test_shipped_se_rounds_match_scalar_rules(psi16):
     out_v2c = graph.variable_round(psi16, tau2, c2v)
     for i, code in enumerate(codes):
         off = graph.edge_slices[i].start
+        var_lists, chk_lists = var_edges(code), chk_edges(code)
         for e in range(code.n_edges):
-            others = [f + off for f in code.chk_edges[code.edge_chk[e]]
+            others = [f + off for f in chk_lists[code.edge_chk[e]]
                       if f != e]
             expected, _ = se_check_mse(v2c[others], q)
             assert out_c2v[off + e] == pytest.approx(expected, rel=1e-12)
 
         for e in range(code.n_edges):
-            others = [f + off for f in code.var_edges[code.edge_var[e]]
+            others = [f + off for f in var_lists[code.edge_var[e]]
                       if f != e]
             tilde = se_variable_tau(tau2[i], psi16.inverse(c2v[others]))
             expected = psi16.value(tilde)
