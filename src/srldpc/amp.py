@@ -220,11 +220,10 @@ def decode_batch(Y, As, code, encoder, params):
     bp_rounds = 0
     if params.final_bp_iters > 0:
         den.reset_messages()
-        work = den._work()   # compaction only shrinks the batch
         for j in range(params.final_bp_iters):
-            den.bp_round(work)
+            den.bp_round()
             bp_rounds = j + 1
-            symbols = np.argmax(den.estimate(work), axis=-1).T
+            symbols = np.argmax(den.estimate(), axis=-1).T
             if params.early_stop:
                 finish(syndrome_check(code, symbols), True, bp_rounds,
                        "final_bp_syndrome")

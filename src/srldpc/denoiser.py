@@ -24,21 +24,28 @@ padded adjacency is stored slot-major as (slots, nodes), with padded
 slots on row E, so a gather yields a contiguous (slots, nodes, trials,
 q) stack and the exclusive product runs over whole (nodes, trials, q)
 slices, one slot at a time.  The variable half gathers c2v, multiplies
-in alpha and takes each edge's row into v2c.  The check half's one flat
-take absorbs the labels into v2c and lays it out slot-major; both
-Walsh-Hadamard transforms run on those slot-major rows, and one flat
-take sends them back to edge order with the labels reapplied, into
-c2v.  A denoise call owns one pair of flat work arrays, each sized for
-either half's gather, and lends it to every round and to the estimate:
-a gather fills one array, the exclusive product fills the other, and
-the transforms return their result in whichever of the two they were
-given, so no round allocates a fresh (edges, trials, q) array.  A
-transform is one product against H_q for q <= 16, and above that two
-radix-16 stages, a product against H_16 and a stacked np.matmul with
-H_{q/16}, which at q=256 take 2q(16 + q/16) flops per row instead of
-2q^2.  Every entry goes through the same floating-point operations as
-in a one-trial denoiser, so a trial's results do not depend on the
-trials batched with it.  compact() drops finished trials from the batch.
+in alpha and takes each edge's row into v2c.  From reset messages
+(denoise without keep-graph) every exclusive product of a degree-d
+variable is exactly 2^(-m(d-1)), so the first variable half normalizes
+alpha times that once per variable and takes it into edge order
+instead.  The check half's one flat take absorbs the labels into v2c
+and lays it out slot-major; both Walsh-Hadamard transforms run on those
+slot-major rows, and one flat take sends them back to edge order with
+the labels reapplied, into c2v, which the normalization divides by the
+q the inverse transform leaves in.  The denoiser owns one pair of flat
+work arrays per batch size, made with the messages by the first load
+at that size and each sized for either half's gather, and lends it to
+every round and estimate: a gather fills one array, the exclusive
+product fills the other, and the transforms return their result in
+whichever of the two they were given, so no call allocates a fresh
+(edges, trials, q) array.  A transform is one product against
+H_q for q <= 16, and above that two radix-16 stages, stacked np.matmul
+products of each row seen as a (q/16, 16) matrix with H_16 on the right
+and H_{q/16} on the left, which at q=256 take 2q(16 + q/16) flops per
+row instead of 2q^2.  Every entry goes through the same floating-point
+operations as in a one-trial denoiser, so a trial's results do not
+depend on the trials batched with it.  compact() drops finished trials
+from the batch.
 
 A flooding half-round updates each node independently of the others,
 and numpy releases the GIL in every operation a round makes, so a
@@ -98,12 +105,11 @@ class _Hadamard:
 
     For q <= RADIX it is one dense product against H_q.  Above that
     H_q = H_{q/RADIX} (x) H_RADIX, because the bits of i & j split into
-    high and low halves: one product of the rows, seen as (rows *
-    q/RADIX, RADIX), against H_RADIX transforms the low bits, then a
-    stacked np.matmul applies H_{q/RADIX} to each row seen as a
-    (q/RADIX, RADIX) matrix.  The transform keeps no state: the caller
-    passes a work array of the input's shape, and neither stage
-    allocates.
+    high and low halves: with each row seen as a (q/RADIX, RADIX)
+    matrix, one stacked np.matmul multiplies it by H_RADIX on the right,
+    which transforms the low bits, and a second one by H_{q/RADIX} on
+    the left.  The transform keeps no state: the caller passes a work
+    array of the input's shape, and neither stage allocates.
     """
 
     def __init__(self, q):
@@ -121,9 +127,9 @@ class _Hadamard:
         if len(self.factors) == 1:
             return np.matmul(x, self.factors[0], out=work)
         high, low = self.factors
-        np.matmul(x.reshape(-1, RADIX), low, out=work.reshape(-1, RADIX))
-        np.matmul(high, work.reshape(-1, len(high), RADIX),
-                  out=x.reshape(-1, len(high), RADIX))
+        stack = (-1, len(high), RADIX)
+        np.matmul(x.reshape(stack), low, out=work.reshape(stack))
+        np.matmul(high, work.reshape(stack), out=x.reshape(stack))
         return x
 
 
@@ -180,20 +186,22 @@ def divergence_terms(s_hat):
     return s_hat.sum(axis=-1), np.square(s_hat).sum(axis=-1)
 
 
-def _normalize_rows(mat):
+def _normalize_rows(mat, weights=None):
     """Normalize the rows (last axis) of an array, in place, to
     probability vectors.
 
     Rows whose total is zero or not finite fall back to uniform; every
     entry is then floored at MSG_FLOOR and the rows renormalized.
     Returns (mat, fallback rows counted along axis 0): an int for a 2-D
-    array, one count per trial for (nodes, trials, q).
+    array, one count per trial for (nodes, trials, q).  With weights,
+    an integer array over axis 0, the fallbacks at i count weights[i]
+    times.
     """
     totals = mat.sum(axis=-1, keepdims=True)
     bad = ~np.isfinite(totals[..., 0]) | (totals[..., 0] <= 0.0)
     n_bad = 0
     if bad.any():
-        n_bad = bad.sum(axis=0)
+        n_bad = bad.sum(axis=0) if weights is None else weights @ bad
         mat[bad] = 1.0 / mat.shape[-1]
         totals = mat.sum(axis=-1, keepdims=True)
     mat /= totals
@@ -211,8 +219,10 @@ class BpDenoiser:
     one trial, and then alpha, v2c, c2v, estimate(), underflow_events
     and metadata() drop the trial axis; a (K, qL) stack with K values of
     tau2 is K trials, held as (nodes, K, q).  A new batch size starts
-    fresh messages and counters.  One instance serves one decode (or
-    batch) at a time; separate decodes need separate instances.
+    fresh messages and counters; the messages, reset, and the work pair
+    are made by the first load at a size, and v2c and c2v are None
+    before it.  One instance serves one decode (or batch) at a time;
+    separate decodes need separate instances.
     """
 
     def __init__(self, code, schedule):
@@ -227,24 +237,43 @@ class BpDenoiser:
         # chk_start[c]..chk_start[c + 1] - 1.
         self._chk_start = np.searchsorted(code.edge_chk,
                                           np.arange(code.P + 1))
+        # Reset c2v rows are 1/q = 2^-m, and products of powers of two
+        # are exact, so each exclusive product over a degree-d variable's
+        # reset rows is exactly 2^(-m(d - 1)).
+        self._var_deg = np.bincount(code.edge_var, minlength=code.L)
+        self._reset_prod = np.ldexp(
+            1.0, -self.field.m * (self._var_deg - 1))[:, None, None]
         self._alpha = None
         self._single = True
         self._resize(1)
 
     def _resize(self, trials):
-        """Fresh messages and counters for a batch size."""
-        E, q = self.code.n_edges, self.field.q
+        """Fresh counters for a batch size.  Its messages and work pair
+        are made by the first load at that size (_make_messages), so a
+        denoiser holds no (edges, trials, q) array before it is used,
+        and can reuse the memory of one dropped since it was built."""
         self.trials = trials
         self._plan = None
-        self._c2v_pad = np.empty((E + 1, trials, q))
-        self._v2c_pad = np.empty((E + 1, trials, q))
+        self._c2v_pad = self._v2c_pad = self._work = None
         self._underflow = np.zeros(trials, dtype=np.int64)
         self._sub_girth = np.zeros(trials, dtype=np.int64)
+
+    def _make_messages(self):
+        """Reset messages and the work pair at the current batch size:
+        two flat work arrays, each large enough for a slot-major gather
+        of either half-round at it or a smaller one, so compact() keeps
+        them."""
+        E, q, K = self.code.n_edges, self.field.q, self.trials
+        self._c2v_pad = np.empty((E + 1, K, q))
+        self._v2c_pad = np.empty((E + 1, K, q))
+        size = max(self._var_pad.size, self._chk_pad.size) * K * q
+        self._work = np.empty(size), np.empty(size)
         self.reset_messages()
 
     def compact(self, keep):
         """Keep only the trials at positions keep (ascending) of the batch,
-        with their messages, local posteriors and counters."""
+        with their messages, local posteriors and counters; the work pair
+        stays."""
         self.trials = len(keep)
         self._plan = None
         self._c2v_pad = self._c2v_pad.take(keep, axis=1)
@@ -279,22 +308,31 @@ class BpDenoiser:
     def _load(self, alpha, single):
         if alpha.shape[1] != self.trials:
             self._resize(alpha.shape[1])
+        if self._v2c_pad is None:
+            self._make_messages()
         self._alpha = np.ascontiguousarray(alpha)
         self._single = single
 
     @property
     def v2c(self):
-        return self._view(self._v2c_pad[: self.code.n_edges])
+        return self._edge_rows(self._v2c_pad)
 
     @property
     def c2v(self):
-        return self._view(self._c2v_pad[: self.code.n_edges])
+        return self._edge_rows(self._c2v_pad)
+
+    def _edge_rows(self, pad):
+        """The edges' rows of a message buffer, as _view gives them; None
+        before the first load."""
+        return None if pad is None else self._view(pad[: self.code.n_edges])
 
     @property
     def underflow_events(self):
         return int(self._underflow[0]) if self._single else self._underflow
 
     def reset_messages(self):
+        if self._v2c_pad is None:   # the first load makes them reset
+            return
         q = self.field.q
         E = self.code.n_edges
         self._v2c_pad[:E] = 1.0 / q
@@ -315,42 +353,34 @@ class BpDenoiser:
         """One denoiser evaluation at AMP iteration t; returns the
         posterior in the shape of r: flat (qL,) or (K, qL).
 
-        Without keep-graph only c2v restarts uniform: the first variable
-        round rewrites every v2c row before any check reads one, so v2c
-        holds the last round's messages until then."""
+        Without keep-graph the messages restart from reset: the first
+        round's variable half then needs alpha alone, and its check half
+        rewrites every c2v row, so c2v is refilled uniform only when no
+        round runs, and v2c keeps the last round's messages until one
+        does."""
         self.init_alpha(r, tau2)
-        if not self.schedule.keep_graph:
-            self._c2v_pad[: self.code.n_edges] = 1.0 / self.field.q
         rounds = self.schedule.rounds(t)
         girth = self.code.girth
         if not math.isinf(girth) and rounds > girth // 2:
             self._sub_girth += 1
-        work = self._work()
+        if not self.schedule.keep_graph:
+            if rounds:
+                self._variable_round_from_reset()
+                self._check_round()
+                rounds -= 1
+            else:
+                self._c2v_pad[: self.code.n_edges] = 1.0 / self.field.q
         for _ in range(rounds):
-            self.bp_round(work)
-        est = self._estimate(work[0])
+            self.bp_round()
+        est = self._estimate()
         if self._single:
             return est.ravel()
         return est.transpose(1, 0, 2).reshape(self.trials, -1)
 
-    def _work(self):
-        """A pair of flat work arrays, each large enough for a slot-major
-        gather of either half-round at the current batch size or a
-        smaller one."""
-        size = (max(self._var_pad.size, self._chk_pad.size)
-                * self.trials * self.field.q)
-        return np.empty(size), np.empty(size)
-
-    def bp_round(self, work=None):
-        """One flooding round: all variable updates, then all check updates.
-
-        work is a pair from _work(), which denoise() shares among its
-        rounds; a round called without one allocates its own.
-        """
-        if work is None:
-            work = self._work()
-        self._variable_round(*work)
-        self._check_round(*work)
+    def bp_round(self):
+        """One flooding round: all variable updates, then all check updates."""
+        self._variable_round()
+        self._check_round()
 
     def _rows(self, buf, lo, hi):
         """Rows lo..hi-1 of a flat work array seen as (rows, trials, q)."""
@@ -367,8 +397,9 @@ class BpDenoiser:
                 axis=0, mode="clip", out=out)
         return out.reshape(n, hi - lo, *out.shape[1:])
 
-    def _variable_round(self, buf, other):
+    def _variable_round(self):
         plan = self._layout()
+        buf, other = self._work
 
         def product(lo, hi):
             gathered = self._gather_c2v(buf, lo, hi)
@@ -388,8 +419,30 @@ class BpDenoiser:
 
         self._count(_in_parts(take, plan.edge_ranges))
 
-    def _check_round(self, buf, other):
+    def _variable_round_from_reset(self):
+        """The variable half when every c2v row holds its reset value:
+        each variable's v2c rows all equal its alpha times the reset
+        product, normalized, so that is computed once per variable,
+        its fallbacks counted once per edge, and taken into edge order."""
         plan = self._layout()
+        start = self._rows(self._work[0], 0, self.code.L)
+
+        def product(lo, hi):
+            rows = np.multiply(self._alpha[lo:hi], self._reset_prod[lo:hi],
+                               out=start[lo:hi])
+            return _normalize_rows(rows, self._var_deg[lo:hi])[1]
+
+        self._count(_in_parts(product, plan.var_ranges))
+
+        def take(lo, hi):
+            np.take(start, self.code.edge_var[lo:hi], axis=0,
+                    out=self._v2c_pad[lo:hi], mode="clip")
+
+        _in_parts(take, plan.edge_ranges)
+
+    def _check_round(self):
+        plan = self._layout()
+        buf, other = self._work
         q = self.field.q
         n = len(self._chk_pad)
 
@@ -403,26 +456,27 @@ class BpDenoiser:
             _excl_prod(spectra.reshape(n, -1, q), free.reshape(n, -1, q))
             conv = self._hadamard(free, spectra)
             first, end = self._chk_start[lo], self._chk_start[hi]
+            # The inverse transform leaves q times the convolution.  The
+            # normalization divides that power of two out exactly: only
+            # entries a 1/q pass would make subnormal could round, and
+            # those are floored at MSG_FLOOR either way.
             c2v = np.take(conv, plan.relabel[first:end], mode="clip",
                           out=self._c2v_pad[first:end])
-            c2v *= 1.0 / q
             np.maximum(c2v, 0.0, out=c2v)
             return _normalize_rows(c2v)[1]
 
         self._count(_in_parts(check, plan.chk_ranges))
 
-    def estimate(self, work=None):
+    def estimate(self):
         """Per-section posterior (L, q), or (L, K, q) for a batch,
-        including the local observation.  work is an optional pair from
-        _work(), as for bp_round."""
-        if work is None:
-            work = self._work()
-        return self._view(self._estimate(work[0]))
+        including the local observation."""
+        return self._view(self._estimate())
 
-    def _estimate(self, buf):
+    def _estimate(self):
         if self._alpha is None:
             raise RuntimeError("init_alpha must run before estimate")
         plan = self._layout()
+        buf = self._work[0]
         est = np.empty(self._alpha.shape)
 
         def product(lo, hi):
@@ -582,15 +636,25 @@ def _excl_prod(a, out):
     Prefix products run left to right into the output, and suffix
     products right to left in place in a, so that a[k] becomes the
     product of slots k and later: the association np.cumprod uses.  One
-    product then joins them.  A loop over contiguous per-slot (nodes,
-    trials, q) slices beats a cumprod that strides across slots.  State
-    evolution's scalar products do not come here: _SeGraph runs them on
-    its own ragged slot-major layout.
+    product then joins them.  No factor of 1.0 is multiplied in: slot 0
+    takes the suffix a[1] * a[2] and slot 1 the product a[0] * a[2].  A
+    loop over contiguous per-slot (nodes, trials, q) slices beats a
+    cumprod that strides across slots.  State evolution's scalar
+    products do not come here: _SeGraph runs them on its own ragged
+    slot-major layout.
     """
-    out[0] = 1.0
-    for k in range(1, len(a)):
-        np.multiply(out[k - 1], a[k - 1], out=out[k])
-    for k in range(len(a) - 2, 0, -1):
-        a[k] *= a[k + 1]
-    out[:-1] *= a[1:]
+    n = len(a)
+    if n == 1:
+        out[0] = 1.0
+    elif n == 2:
+        out[0], out[1] = a[1], a[0]
+    else:
+        np.multiply(a[0], a[1], out=out[2])
+        for k in range(3, n):
+            np.multiply(out[k - 1], a[k - 1], out=out[k])
+        for k in range(n - 2, 1, -1):
+            a[k] *= a[k + 1]
+        np.multiply(a[1], a[2], out=out[0])
+        np.multiply(a[0], a[2], out=out[1])
+        out[2:-1] *= a[3:]
     return out

@@ -12,6 +12,14 @@ permutations, boolean-mask gathers), which does the same floating-point
 operations in the same order as the shipped slot-major round, so the
 two must agree bit for bit; _pad_adjacency is their node-major padded
 adjacency, and the oracle for the shipped slot-major layout.
+reference_check_round is the check half of reference_bp_round, which
+keeps the 1/q scale of the convolution that the shipped round leaves to
+its normalization; it takes the row transform as an argument, so that
+it also serves at q > 16.  reference_hadamard keeps the earlier
+radix-16 transform, whose first stage is one (rows * q/16, 16) product
+against H_16, and reference_excl_prod_loop the earlier slot loop of
+the exclusive product, which multiplies in a leading 1.0; the shipped
+stacked stage and loop must agree with them bit for bit.
 reference_peg_construct is the earlier form of ldpc.peg_construct, a
 variable/check BFS per placed edge with the girth left to
 compute_girth; the shipped construction must give the same edges and
@@ -204,6 +212,31 @@ def _reference_normalize(mat):
     return mat / mat.sum(axis=-1, keepdims=True), int(bad.sum())
 
 
+def reference_hadamard(x):
+    """Walsh-Hadamard transform of the rows of a (rows, q) array, q > 16,
+    in two radix-16 stages: a (rows * q/16, 16) product against H_16,
+    then H_{q/16} on the left of each row seen as (q/16, 16)."""
+    q = x.shape[1]
+    low = np.reshape(x, (-1, 16)) @ hadamard_matrix(16)
+    return np.matmul(hadamard_matrix(q // 16),
+                     low.reshape(-1, q // 16, 16)).reshape(x.shape)
+
+
+def reference_excl_prod_loop(a):
+    """Per-slot products along axis 0 excluding the slot itself: prefix
+    products from a leading 1.0 left to right, suffix products right to
+    left, one product to join them."""
+    a = a.copy()
+    out = np.empty_like(a)
+    out[0] = 1.0
+    for k in range(1, len(a)):
+        np.multiply(out[k - 1], a[k - 1], out=out[k])
+    for k in range(len(a) - 2, 0, -1):
+        a[k] *= a[k + 1]
+    out[:-1] *= a[1:]
+    return out
+
+
 def _pad_adjacency(edge_lists, dummy):
     """Stack variable-length edge-id lists into a padded matrix + mask."""
     n = len(edge_lists)
@@ -222,31 +255,44 @@ def reference_bp_round(code, alpha, v2c, c2v):
 
     Returns (v2c, c2v, number of rows that fell back to uniform).
     """
-    field = code.field
-    q = field.q
+    q = code.field.q
     E = code.n_edges
-    H = hadamard_matrix(q)
-    neutral = np.ones((1, q))
     var_pad, var_mask = _pad_adjacency(var_edges(code), E)
-    chk_pad, chk_mask = _pad_adjacency(chk_edges(code), E)
-
-    gathered = np.vstack([c2v, neutral])[var_pad]
+    gathered = np.vstack([c2v, np.ones((1, q))])[var_pad]
     msgs = _reference_excl_prod(gathered) * alpha[:, None, :]
     rows, bad_var = _reference_normalize(msgs[var_mask])
     v2c = np.empty((E, q))
     v2c[var_pad[var_mask]] = rows
+    c2v, bad_chk, _ = reference_check_round(code, v2c)
+    return v2c, c2v, bad_var + bad_chk
 
+
+def reference_check_round(code, v2c, transform=None):
+    """The check half of one flooding round in the node-major form, with
+    transform the Walsh-Hadamard transform of the rows of (rows, q)
+    arrays (the dense product by default).  Returns (c2v, number of rows
+    that fell back to uniform, the convolution scaled by 1/q in the
+    order of the checks' edges)."""
+    field = code.field
+    q = field.q
+    E = code.n_edges
+    if transform is None:
+        H = hadamard_matrix(q)
+
+        def transform(x):
+            return x @ H
+    neutral = np.ones((1, q))
+    chk_pad, chk_mask = _pad_adjacency(chk_edges(code), E)
     perm_in = field.mul_table[:, field.inv(code.edge_label)].T
     absorbed = np.take_along_axis(v2c, perm_in, axis=1)
-    spectra = np.vstack([absorbed @ H, neutral])
-    conv = _reference_excl_prod(spectra[chk_pad])[chk_mask] @ H
-    conv = np.maximum(conv * (1.0 / q), 0.0)
+    spectra = np.vstack([transform(absorbed), neutral])
+    scaled = transform(_reference_excl_prod(spectra[chk_pad])[chk_mask])
+    scaled *= 1.0 / q
     out = np.empty((E, q))
-    out[chk_pad[chk_mask]] = conv
+    out[chk_pad[chk_mask]] = np.maximum(scaled, 0.0)
     perm_out = field.mul_table[:, code.edge_label].T
-    c2v, bad_chk = _reference_normalize(
-        np.take_along_axis(out, perm_out, axis=1))
-    return v2c, c2v, bad_var + bad_chk
+    c2v, bad = _reference_normalize(np.take_along_axis(out, perm_out, axis=1))
+    return c2v, bad, scaled
 
 
 def reference_estimate(code, alpha, c2v):

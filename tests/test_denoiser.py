@@ -7,7 +7,8 @@ from helpers import (
     _pad_adjacency, _reference_excl_prod, check_round_message,
     check_update_bruteforce, check_update_convolution, exhaustive_posteriors,
     chk_edges, fq_convolve, openblas_thread_getters, reference_bp_round,
-    reference_estimate, var_edges,
+    reference_check_round, reference_estimate, reference_excl_prod_loop,
+    reference_hadamard, var_edges,
 )
 from srldpc import denoiser
 from srldpc.denoiser import (
@@ -112,6 +113,32 @@ def test_hadamard_transform_result_in_x_or_work(m):
     assert np.array_equal(got, fwht(k))
 
 
+def _awkward(rng, shape):
+    """Signed values whose magnitudes span 1e-300..1, row scales of
+    1e-300..1, exact zeros and subnormals (5e-324 and about 1e-310)."""
+    x = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(
+        -300, 0, size=shape)
+    x *= 10.0 ** rng.uniform(-300, 0, size=shape[:-1] + (1,))
+    pick = rng.random(shape)
+    x[pick < 0.1] = 0.0
+    x[(pick >= 0.1) & (pick < 0.15)] = 5e-324
+    x[(pick >= 0.15) & (pick < 0.2)] *= 1e-310
+    return x
+
+
+@pytest.mark.parametrize("m", [5, 6, 8, 10])
+def test_hadamard_stacked_stages_match_flat_first_stage(m):
+    """The stacked first stage gives the transform of the earlier
+    (rows * q/16, 16) product bit for bit, on odd row counts, zeros,
+    subnormals and magnitudes down to 1e-300."""
+    q = 1 << m
+    rng = np.random.default_rng(80 + m)
+    for rows in (1, 7, 37):
+        x = _awkward(rng, (rows, q))
+        assert np.array_equal(_transform(_Hadamard(q), x.copy()),
+                              reference_hadamard(x))
+
+
 # ---------------------------------------------------------------------------
 # Exclusive products
 # ---------------------------------------------------------------------------
@@ -127,6 +154,17 @@ def test_excl_prod_writes_out_and_matches_reference(slots):
     assert got is out
     ref = np.moveaxis(_reference_excl_prod(np.moveaxis(a, 0, 1)), 1, 0)
     assert np.array_equal(got, ref)
+
+
+@pytest.mark.parametrize("slots", range(1, 10))
+def test_excl_prod_matches_slot_loop_from_one(slots):
+    """_excl_prod, which multiplies no 1.0 in, gives the earlier loop's
+    products bit for bit, on odd node counts, zeros, subnormals and
+    factors down to 1e-300."""
+    rng = np.random.default_rng(90 + slots)
+    a = _awkward(rng, (slots, 5, 3, 8))
+    got = _excl_prod(a.copy(), np.empty_like(a))
+    assert np.array_equal(got, reference_excl_prod_loop(a))
 
 
 # ---------------------------------------------------------------------------
@@ -383,6 +421,60 @@ def test_two_stage_rounds_match_convolution_oracle(case):
     _assert_rounds_match_oracle(code, check_update_convolution, 15)
 
 
+def _structured_messages(code, trials, rng):
+    """(E, trials, q) probability vectors laid out by check: point masses
+    at check 0, random vectors with exact zeros and one entry of 1e-300
+    at check 2, and at the other checks half on 0 and half on a random
+    element, with 1e-160 on a third.  Products of the last kind's
+    spectra cancel exactly in places, and what is left of their tiny
+    entries gives subnormal convolutions."""
+    q = code.field.q
+    msgs = np.zeros((code.n_edges, trials, q))
+    for (e, k), c in zip(np.ndindex(msgs.shape[:2]),
+                         np.repeat(code.edge_chk, trials)):
+        row = msgs[e, k]
+        if c == 0:
+            row[rng.integers(q)] = 1.0
+        elif c == 2:
+            row[:] = rng.random(q) * (rng.random(q) > 0.3)
+            row[rng.integers(q)] = 1e-300
+            row /= row.sum()
+        else:
+            b, tiny = rng.choice(np.arange(1, q), 2, replace=False)
+            row[0] = row[b] = 0.5
+            row[tiny] = 1e-160
+    return msgs
+
+
+@pytest.mark.parametrize("trials", [1, 3])
+def test_check_round_without_scale_matches_scaled_oracle(trials):
+    """At q=256 the check round, which leaves the 1/q scale of the
+    convolution to its normalization, equals the node-major check round
+    that applies it (with the earlier two-stage transform) bit for bit,
+    on messages whose scaled convolutions hold exact zeros and
+    subnormals."""
+    code = build_code(GF2m(8), L=20, P=5, dv=3, seed=6)[0]
+    q = code.field.q
+    rng = np.random.default_rng(17)
+    zeros = subnormals = 0
+    for _ in range(8):
+        msgs = _structured_messages(code, trials, rng)
+        den = BpDenoiser(code, Schedule("bpn"))
+        den.alpha = np.full((code.L, trials, q), 1.0 / q)
+        den.v2c[...] = msgs.reshape(den.v2c.shape)
+        den._check_round()
+        underflow = np.zeros(trials, dtype=np.int64)
+        for k in range(trials):
+            c2v, underflow[k], scaled = reference_check_round(
+                code, msgs[:, k], reference_hadamard)
+            assert np.array_equal(den.c2v[:, k], c2v)
+            zeros += np.count_nonzero(scaled == 0.0)
+            subnormals += np.count_nonzero(
+                (scaled != 0.0) & (np.abs(scaled) < np.finfo(float).tiny))
+        assert np.array_equal(den.underflow_events, underflow)
+    assert zeros and subnormals
+
+
 @pytest.mark.parametrize("m, L", [(5, 20), (8, 20), (5, 21), (8, 21)],
                          ids=["5", "8", "5-irregular", "8-irregular"])
 def test_denoise_stack_equals_each_row_bitwise(m, L):
@@ -509,6 +601,25 @@ def test_cycle_free_code_exact_posteriors():
     assert np.abs(out - exact).max() < 1e-9
 
 
+def test_messages_are_made_reset_by_the_first_load(small_code):
+    """A new denoiser holds no messages; the first load makes them reset,
+    and a load at another batch size makes fresh ones."""
+    q = small_code.field.q
+    den = BpDenoiser(small_code, Schedule("bpn"))
+    assert den.v2c is None and den.c2v is None
+    den.reset_messages()
+    assert den.metadata() == {"underflow_events": 0,
+                              "sub_girth_violations": 0}
+    r = np.random.default_rng(14).standard_normal((2, small_code.L * q))
+    den.init_alpha(r[0], 0.4)
+    assert den.c2v.shape == den.v2c.shape == (small_code.n_edges, q)
+    assert np.all(den.c2v == 1.0 / q) and np.all(den.v2c == 1.0 / q)
+    den.bp_round()
+    den.init_alpha(r, np.array([0.4, 0.5]))
+    assert den.c2v.shape == (small_code.n_edges, 2, q)
+    assert np.all(den.c2v == 1.0 / q) and np.all(den.v2c == 1.0 / q)
+
+
 def test_keep_graph_retains_messages(small_code):
     rng = np.random.default_rng(11)
     q = small_code.field.q
@@ -566,10 +677,10 @@ PART_CASES = {
 
 def _bp_trace(code, schedule, trials, underflow):
     """Every message, estimate and counter a denoiser exposes over four
-    denoise calls and then three lone rounds on a work pair of their
-    own, and the part count it ran; with underflow, the lone rounds
-    start from one-hot alpha on symbol 1 and c2v on symbol 2, so every
-    variable product is exactly 0."""
+    denoise calls and then three lone rounds, and the part count it
+    ran; with underflow, the lone rounds start from one-hot alpha on
+    symbol 1 and c2v on symbol 2, so every variable product is exactly
+    0."""
     q = code.field.q
     rng = np.random.default_rng(21)
     den = BpDenoiser(code, Schedule(schedule))
@@ -585,10 +696,9 @@ def _bp_trace(code, schedule, trials, underflow):
     if underflow:
         den.alpha = np.broadcast_to(np.eye(q)[1], den.alpha.shape)
         den.c2v[:] = np.eye(q)[2]
-    work = den._work()
     for _ in range(3):
-        den.bp_round(work)
-        seen += [den.v2c.copy(), den.c2v.copy(), den.estimate(work),
+        den.bp_round()
+        seen += [den.v2c.copy(), den.c2v.copy(), den.estimate(),
                  den.metadata()]
     return seen, den._layout().parts
 
@@ -619,6 +729,62 @@ def test_any_part_count_is_one_part_bitwise(case, trials, cpus,
                 assert a == b
     counts = one[-1] if trials == 1 else one[-1][0]
     assert (counts["underflow_events"] > 0) == underflow
+
+
+RESET_CODES = {
+    # variable degrees 0, 1, 2, 3, 3, 2, 1, 0 and check degrees 4, 1, 3, 4
+    "degrees-0-3": lambda: LdpcCode(
+        GF2m(3), 8, 4, [1, 2, 3, 4, 3, 3, 4, 5, 2, 4, 5, 6],
+        [0, 0, 0, 0, 1, 2, 2, 2, 3, 3, 3, 3],
+        [3, 5, 1, 7, 2, 6, 4, 3, 5, 1, 2, 7]),
+    "underflow": ORACLE_CODES["underflow"],
+    "q256": lambda: build_code(GF2m(8), L=20, P=5, dv=3, seed=6)[0],
+    # one variable on 1100 degree-1 checks: its reset product 2^-1099
+    # is 0, so every v2c row falls back to uniform
+    "wide-star": lambda: LdpcCode(GF2m(1), 1, 1100, np.zeros(1100),
+                                  np.arange(1100), np.ones(1100)),
+}
+
+
+@pytest.mark.parametrize("parts", [1, 2, 3])
+@pytest.mark.parametrize("trials", [1, 3])
+@pytest.mark.parametrize("schedule", ["bpn", "bp0", "bp1kg"])
+@pytest.mark.parametrize("case", sorted(RESET_CODES))
+def test_denoise_equals_reset_rounds_and_estimate(case, schedule, trials,
+                                                  parts, cpus, monkeypatch):
+    """denoise(), whose first variable half starts from alpha alone when
+    the messages restart, gives bit for bit the messages, estimate and
+    underflow counter of reset_messages() (without keep-graph), plain
+    bp_round()s and estimate(), in one to three parts."""
+    code = RESET_CODES[case]()
+    q = code.field.q
+    cpus(parts)
+    monkeypatch.setattr(denoiser, "MIN_PART", 1)
+    sched = Schedule(schedule)
+    den, ref = BpDenoiser(code, sched), BpDenoiser(code, sched)
+    rng = np.random.default_rng(23)
+    for t, tau2 in enumerate((0.5, 0.05, 1e-3, 1e-5)):
+        r = rng.standard_normal((trials, code.L * q)) * np.sqrt(tau2)
+        r[:, ::q] += 1.0
+        tau2 = tau2 * np.linspace(1.0, 2.0, trials)
+        if trials == 1:
+            r, tau2 = r[0], tau2[0]
+        out = den.denoise(r, tau2, t)
+        ref.init_alpha(r, tau2)
+        if not sched.keep_graph:
+            ref.reset_messages()
+        for _ in range(sched.rounds(t)):
+            ref.bp_round()
+        est = ref.estimate()
+        if trials > 1:
+            est = est.transpose(1, 0, 2).reshape(trials, -1)
+        assert np.array_equal(out, est.reshape(out.shape))
+        assert np.array_equal(den.v2c, ref.v2c)
+        assert np.array_equal(den.c2v, ref.c2v)
+        assert np.array_equal(den.underflow_events, ref.underflow_events)
+    assert den._layout().parts == parts
+    if case == "wide-star" and schedule != "bp0":
+        assert np.all(den.underflow_events > 0)
 
 
 def test_part_count_rule(cpus, monkeypatch):
